@@ -106,17 +106,13 @@ from repro.protocols import (
 from repro.radio import BudgetLedger, RoundDriver, RunLimits, TdmaSchedule
 from repro.runner import (
     BroadcastReport,
-    ReactiveRunConfig,
     ResultCache,
     SweepProgress,
     SweepResult,
-    ThresholdRunConfig,
     format_table,
     parallel_sweep,
     point_key,
     point_seed,
-    run_reactive_broadcast,
-    run_threshold_broadcast,
     sweep,
 )
 from repro.scenario import ScenarioOutcome, ScenarioSpec
@@ -180,17 +176,13 @@ __all__ = [
     "scenario_preset_names",
     # runner
     "BroadcastReport",
-    "ReactiveRunConfig",
     "ResultCache",
     "SweepProgress",
     "SweepResult",
-    "ThresholdRunConfig",
     "format_table",
     "parallel_sweep",
     "point_key",
     "point_seed",
-    "run_reactive_broadcast",
-    "run_threshold_broadcast",
     "sweep",
     # errors
     "ReproError",

@@ -46,7 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.scenario.spec import ScenarioSpec
 
 #: Presets a full atlas maps, in report order. ``megatorus`` is excluded
-#: (each probe is a 10^6-node run — the bench trajectory covers it) and
+#: (each probe is a 10^6-node run; ``tests/test_vectorized.py`` pins its
+#: kernel on a 100x100 replica) and
 #: ``stripe-impossibility`` is included to show a frontier from the
 #: failing side.
 DEFAULT_ATLAS_PRESETS = (

@@ -16,11 +16,8 @@ This module locates those frontiers *empirically*:
   are incremental. The scenario atlas (:mod:`repro.analysis.atlas`)
   drives many of these at once.
 - :func:`frontier_search` runs a single axis search to completion.
-- :func:`find_min_working_budget` is the historical entry point, kept
-  result-identical for :class:`~repro.runner.broadcast_run.
-  ThresholdRunConfig` callers but rebuilt on cached ``run(spec)`` probes
-  (it used to drive the deprecated ``run_threshold_broadcast`` shim
-  serially, recomputing every probe from scratch).
+- :func:`find_min_working_budget` is the historical minimum-budget
+  bisection, run on cached ``run(spec)`` probes.
 
 Monotonicity — more good budget never hurts, more adversary never helps
 — is an empirical property of our adversaries, not a theorem. The
@@ -41,7 +38,6 @@ from repro.analysis.bounds import m0, max_locally_bounded_t
 from repro.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.runner.broadcast_run import BroadcastReport, ThresholdRunConfig
     from repro.runner.parallel import ResultCache
     from repro.scenario.runner import ScenarioOutcome
     from repro.scenario.spec import ScenarioSpec
@@ -634,49 +630,33 @@ def frontier_search(
 
 
 def find_min_working_budget(
-    base: "ThresholdRunConfig | ScenarioSpec",
+    base: "ScenarioSpec",
     *,
     low: int = 1,
     high: int,
-    runner: "Callable[[Any], BroadcastReport] | None" = None,
     cache: "ResultCache | None" = None,
 ) -> BudgetSearchResult:
     """Bisect the smallest ``m`` for which the scenario succeeds.
 
-    ``base`` supplies everything but ``m`` — either a
-    :class:`~repro.scenario.spec.ScenarioSpec` or (compatibly) a
-    :class:`~repro.runner.broadcast_run.ThresholdRunConfig`, which is
-    translated through its exact ``to_scenario_spec`` mapping. ``high``
-    must succeed (use ``2*m0`` per Theorem 2); if even ``low`` succeeds
-    the result is ``low`` with ``max_failing_m=None``.
+    ``base`` supplies everything but ``m``. ``high`` must succeed (use
+    ``2*m0`` per Theorem 2); if even ``low`` succeeds the result is
+    ``low`` with ``max_failing_m=None``.
 
     Probes execute through the shared sweep substrate: with ``cache``
     set, each probe is memoized on disk by the probe spec's content
     hash, so repeating or widening a search only computes new budgets.
-    ``runner`` remains for callers that probe through a custom runner
-    (it receives ``dataclasses.replace(base, m=m)`` and must return an
-    object with a ``success`` attribute); such probes bypass the cache.
     """
     if low < 1 or high < low:
         raise ConfigurationError(f"invalid bracket [{low}, {high}]")
 
-    if runner is not None:
+    from repro.runner.parallel import probe_batch
+    from repro.scenario.runner import run_summary
 
-        def probe(m: int) -> bool:
-            return bool(runner(dataclasses.replace(base, m=m)).success)
-
-    else:
-        from repro.runner.parallel import probe_batch
-        from repro.scenario.runner import run_summary
-        from repro.scenario.spec import ScenarioSpec
-
-        spec = base if isinstance(base, ScenarioSpec) else base.to_scenario_spec()
-
-        def probe(m: int) -> bool:
-            batch = probe_batch(
-                [spec.replace(m=m)], run_summary, workers=1, cache=cache
-            )
-            return bool(batch.results[0].success)
+    def probe(m: int) -> bool:
+        batch = probe_batch(
+            [base.replace(m=m)], run_summary, workers=1, cache=cache
+        )
+        return bool(batch.results[0].success)
 
     tested: list[tuple[int, bool]] = []
 

@@ -13,7 +13,7 @@ The moving parts, smallest first:
 - :class:`Rule` / :class:`FileRule` — project-wide vs per-file checks;
 - :func:`run_rules` — run, filter suppressed + baselined, sort.
 
-Scanned roots are ``src/``, ``examples/``, and ``benchmarks/``; the
+Scanned roots are ``src/`` and ``examples/``; the
 ``tests/`` tree is indexed read-only (rules search it for differential
 tests but never lint it — tests get to be weird on purpose).
 """
@@ -136,7 +136,7 @@ class ProjectIndex:
                 "(no src/repro directory)"
             )
         files: list[SourceFile] = []
-        for scan_root in ("src", "examples", "benchmarks"):
+        for scan_root in ("src", "examples"):
             base = root / scan_root
             if not base.is_dir():
                 continue

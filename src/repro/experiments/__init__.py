@@ -22,6 +22,5 @@ dataclass and ``table(result)`` rendering the regenerated rows. Point
 lists execute on :func:`repro.runner.parallel.sweep`, so any experiment
 fans out over worker processes and memoizes per-point results without
 harness-specific code; the classic ``run_*`` functions remain for tests
-and programmatic use. The ``benchmarks/`` tree drives the same registry
-entries under pytest-benchmark.
+and programmatic use.
 """

@@ -45,7 +45,6 @@ from repro.adversary.figure2 import (
     T,
     WIDTH,
     figure2_midside_quota,
-    figure2_plan,
 )
 from repro.adversary.placement import LatticePlacement
 from repro.analysis.bounds import m0
@@ -56,9 +55,6 @@ from repro.runner.parallel import sweep as parallel_sweep
 from repro.runner.report import BroadcastReport, format_table
 from repro.scenario import ScenarioSpec
 from repro.scenario import run as run_scenario
-
-#: Deprecated alias (the plan builder moved to :mod:`repro.adversary.figure2`).
-_figure2_plan = figure2_plan
 
 HEIGHT = WIDTH
 

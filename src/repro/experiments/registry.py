@@ -9,10 +9,10 @@ uniform run/format entry points every module exposes:
   results in a :class:`~repro.runner.parallel.ResultCache`;
 - ``table(result)`` — render the regenerated rows.
 
-The CLI (``python -m repro run <exp...>``), the benchmark harnesses, and
-the determinism test suite all resolve experiments through this registry
-rather than importing harness modules ad hoc, so a new experiment is
-registered exactly once.
+The CLI (``python -m repro run <exp...>``), the ``perfbench/``
+benchmark, and the determinism test suite all resolve experiments
+through this registry rather than importing harness modules ad hoc, so
+a new experiment is registered exactly once.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ single source of truth and the tuple view is what hot loops iterate
 (tuple iteration only increfs pre-boxed ints; indexing an ``array``
 boxes on every access). The per-slot delivery resolver
 (:mod:`repro.radio.medium`) combines this with dense id-indexed scratch
-buffers to do steady-state slot resolution with no dict/set churn;
-``python -m repro bench`` tracks its speedup.
+buffers to do steady-state slot resolution with no dict/set churn.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ round is a handful of array operations over the grid's CSR neighbor
 table — gather each sender's neighbor segment, ``bincount`` the copies
 per receiver, compare against the ``t*mf + 1`` threshold, and flip the
 decided bitmap — which is what lets a 10^6-node torus broadcast finish
-in seconds (``python -m repro bench scenario`` tracks it).
+in seconds (the ``megatorus`` preset).
 
 Engagement rules (:func:`try_vector_run`)
 -----------------------------------------

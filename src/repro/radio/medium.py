@@ -37,12 +37,11 @@ churn:
 
 The historical dict-based implementation is preserved as
 ``resolve_slot_reference``; the determinism suite asserts both produce
-byte-for-byte identical delivery lists, and ``python -m repro bench``
-records the speedup trajectory in ``BENCH_slot_resolution.json``.
+byte-for-byte identical delivery lists.
 
-Since the scenario fast path (``python -m repro bench scenario``), the
-fast resolver returns a :class:`DeliveryBatch` — a ``list`` subclass
-carrying a precomputed ``corrupted_count`` — and memo hits return the
+Since the scenario fast path, the fast resolver returns a
+:class:`DeliveryBatch` — a ``list`` subclass carrying a precomputed
+``corrupted_count`` — and memo hits return the
 *same cached batch object* rather than a fresh copy, so callers must
 treat resolver output as immutable. Identity-stable batches are what
 lets the round driver and the flat protocol engines cache per-batch
@@ -400,7 +399,7 @@ class Medium:
         """Historical dict-based resolver (the fast path's referee).
 
         Kept verbatim (plus the shared ``spoof_sender`` hygiene) so the
-        determinism suite and the benchmark harness can compare the two
+        determinism suite and the fuzz runner can compare the two
         implementations transmission-for-transmission.
         """
         if not honest and not byzantine:

@@ -1,22 +1,13 @@
 """End-to-end runs, sweeps, and report formatting.
 
-Scenario *assembly* now lives in :mod:`repro.scenario` (the declarative
+Scenario *assembly* lives in :mod:`repro.scenario` (the declarative
 ``ScenarioSpec`` + registry API); this package keeps the execution
 substrate — the parallel sweep engine and result cache
-(:mod:`repro.runner.parallel`), report formatting
-(:mod:`repro.runner.report`), the benchmark harness
-(:mod:`repro.runner.bench`) — plus the deprecated config shims
-(:mod:`repro.runner.broadcast_run`).
+(:mod:`repro.runner.parallel`) and report formatting
+(:mod:`repro.runner.report`).
 """
 
 from repro.runner.report import BroadcastReport, format_table
-from repro.runner.bench import run_slot_resolution_bench
-from repro.runner.broadcast_run import (
-    ReactiveRunConfig,
-    ThresholdRunConfig,
-    run_reactive_broadcast,
-    run_threshold_broadcast,
-)
 from repro.runner.parallel import (
     ResultCache,
     SweepProgress,
@@ -29,10 +20,6 @@ from repro.runner.parallel import sweep as parallel_sweep
 
 __all__ = [
     "BroadcastReport",
-    "ReactiveRunConfig",
-    "ThresholdRunConfig",
-    "run_reactive_broadcast",
-    "run_threshold_broadcast",
     "format_table",
     "ResultCache",
     "SweepProgress",
@@ -40,6 +27,5 @@ __all__ = [
     "parallel_sweep",
     "point_key",
     "point_seed",
-    "run_slot_resolution_bench",
     "sweep",
 ]

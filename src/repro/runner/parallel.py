@@ -5,8 +5,7 @@ This is the execution substrate behind every experiment harness: it maps
 a list of configuration points through a runner function, optionally
 fanning the points out over a ``multiprocessing`` worker pool and
 memoizing per-point results on disk. ``workers=1`` (the default) is the
-plain serial loop — the historical separate serial sweep module
-(``repro.runner.sweep``) is now just a deprecation alias for this one.
+plain serial loop.
 
 Design constraints, in order:
 
@@ -681,7 +680,7 @@ class PersistentPool(SupervisedPool):
     capped backoff and resubmits the in-flight points, and callers only
     see :class:`~repro.errors.PoolBrokenError` once the restart budget is
     exhausted. ``restarts`` / ``resubmitted`` / ``alive`` expose the
-    recovery history to ``/healthz`` and the serve bench.
+    recovery history to ``/healthz``.
     """
 
     def __init__(

@@ -3,8 +3,8 @@
 Experiments print the same rows the paper's analysis predicts; a tiny
 formatter keeps that output dependency-free and diff-friendly.
 :class:`BroadcastReport` lives here (rather than next to the runner)
-because it is pure result data with no assembly dependencies — both the
-scenario runner and the deprecated ``broadcast_run`` shims return it.
+because it is pure result data with no assembly dependencies — the
+scenario runner returns it.
 """
 
 from __future__ import annotations

@@ -10,9 +10,7 @@ Three registries map stable string names to scenario components:
 Components register themselves at the bottom of their defining modules
 (``repro.adversary.placement``, ``repro.protocols.protocol_b``, ...), so
 adding a protocol or adversary behavior never requires editing the
-scenario runner — the string-literal ``if/elif`` dispatch that used to
-live in ``repro.runner.broadcast_run`` is gone. Unknown names fail with
-the full registered-name list.
+scenario runner. Unknown names fail with the full registered-name list.
 
 This module is deliberately a leaf (stdlib + ``repro.errors`` only):
 component modules import it at their bottoms without creating import
@@ -214,7 +212,7 @@ def default_threshold_max_rounds(
     spec: Any, source_sends: int, relay_count: int
 ) -> int:
     """Generous cap for threshold runs: source phase + one relay phase per
-    unit of distance (moved intact from ``repro.runner.broadcast_run``).
+    unit of distance.
 
     ``spec`` is a :class:`~repro.network.grid.GridSpec`.
     """

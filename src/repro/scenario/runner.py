@@ -1,12 +1,10 @@
 """The one entry point: assemble and run any :class:`ScenarioSpec`.
 
-:func:`run` subsumes the historical ``run_threshold_broadcast`` /
-``run_reactive_broadcast`` pair (both survive as thin deprecated shims in
-:mod:`repro.runner.broadcast_run`): it builds the grid and role table,
-resolves the protocol and adversary behavior through the name registries,
-assembles budgets and the round driver, runs to quiescence, and returns
-the same :class:`~repro.runner.report.BroadcastReport` the old entry
-points produced — bit-for-bit, which the golden-table suite enforces.
+:func:`run` builds the grid and role table, resolves the protocol and
+adversary behavior through the name registries, assembles budgets and
+the round driver, runs to quiescence, and returns a
+:class:`~repro.runner.report.BroadcastReport` whose bytes the
+golden-table suite pins.
 
 :func:`run_summary` projects the live report onto the flat, picklable
 :class:`ScenarioOutcome` so spec sweeps can ride
@@ -138,8 +136,7 @@ def run(
 
     ``tracer`` and ``adversary_override`` are run-time extras precisely
     because they are not serializable scenario *content*: the override is
-    an escape hatch for ad-hoc adversaries (the deprecated
-    ``behavior="custom"`` path) and takes precedence over
+    an escape hatch for ad-hoc adversaries and takes precedence over
     ``spec.behavior``.
     """
     protocol = protocols.get(spec.protocol)

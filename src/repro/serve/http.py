@@ -240,8 +240,8 @@ async def run_daemon(
 
     ``port=0`` binds an ephemeral port; the bound port is printed and,
     when ``port_file`` is given, written there so harnesses (the CI smoke
-    job, the serve benchmark) can discover it without racing on output
-    parsing. ``ready``/``stop`` are seams for in-process embedding.
+    job, ``perfbench``'s serve workload) can discover it without racing on
+    output parsing. ``ready``/``stop`` are seams for in-process embedding.
     """
     out = out if out is not None else sys.stdout
     stop = stop if stop is not None else asyncio.Event()

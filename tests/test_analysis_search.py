@@ -13,22 +13,22 @@ from repro.analysis.search import (
 )
 from repro.errors import ConfigurationError
 from repro.network.grid import Grid, GridSpec
-from repro.runner.broadcast_run import ThresholdRunConfig
 from repro.runner.parallel import ResultCache
-from repro.scenario import ScenarioSpec, run
+from repro.scenario import ScenarioSpec
 
 
 def make_base(t=2, mf=3):
-    spec = GridSpec(width=30, height=30, r=2, torus=True)
-    grid = Grid(spec)
+    grid_spec = GridSpec(width=30, height=30, r=2, torus=True)
+    grid = Grid(grid_spec)
     placement, band_rows = two_stripe_band(grid, t=t, band_height=6, below_y0=8)
-    band = [grid.id_of((x, y)) for y in band_rows for x in range(30)]
-    return ThresholdRunConfig(
-        spec=spec,
+    band = tuple(grid.id_of((x, y)) for y in band_rows for x in range(30))
+    return ScenarioSpec(
+        grid=grid_spec,
         t=t,
         mf=mf,
         placement=placement,
         protocol="b",
+        behavior="jam",
         protected=band,
         batch_per_slot=8,
     )
@@ -65,32 +65,15 @@ def test_invalid_bracket_rejected():
 
 
 class TestBudgetSearchCompat:
-    """The rebuilt search stays result-identical to the historical one."""
-
-    def test_legacy_runner_path_matches_spec_path(self):
-        # The old implementation probed through a runner callable taking
-        # the replace()-mutated config; pin that the cache-backed spec
-        # path visits the same probes in the same order and returns the
-        # same bracket.
-        base = make_base()
-        high = 2 * m0(2, 2, 3)
-        via_runner = find_min_working_budget(
-            base,
-            low=1,
-            high=high,
-            runner=lambda cfg: run(cfg.to_scenario_spec()),
-        )
-        via_spec = find_min_working_budget(base, low=1, high=high)
-        assert via_runner == via_spec
+    """The budget bisection keeps its historical contract."""
 
     def test_scenario_spec_base_accepted(self):
+        # ``base`` supplies everything but ``m``: its own budget is
+        # ignored, so any m on the base yields the same bracket.
         base = make_base()
-        result = find_min_working_budget(
-            base.to_scenario_spec(), low=1, high=2 * m0(2, 2, 3)
-        )
-        assert result == find_min_working_budget(
-            base, low=1, high=2 * m0(2, 2, 3)
-        )
+        high = 2 * m0(2, 2, 3)
+        result = find_min_working_budget(base.replace(m=7), low=1, high=high)
+        assert result == find_min_working_budget(base, low=1, high=high)
 
     def test_probes_are_cache_backed(self, tmp_path):
         base = make_base()
@@ -218,7 +201,7 @@ class TestFrontierSearchEndToEnd:
     def test_real_m_frontier_on_the_stripe(self, tmp_path):
         # Same scenario as the compat tests: the adaptive search and the
         # historical bisection must agree on the stripe frontier.
-        spec = make_base().to_scenario_spec().replace(m=2 * m0(2, 2, 3))
+        spec = make_base().replace(m=2 * m0(2, 2, 3))
         cache = ResultCache(tmp_path, namespace="scenario")
         result = frontier_search(spec, "m", cache=cache)
         assert result.frontier == 2

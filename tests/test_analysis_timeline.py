@@ -4,8 +4,7 @@ from repro.adversary.placement import RandomPlacement, two_stripe_band
 from repro.analysis.timeline import propagation_timeline
 from repro.network.grid import Grid, GridSpec
 from repro.network.node import NodeTable
-from repro.runner.broadcast_run import ThresholdRunConfig
-from repro.scenario import run
+from repro.scenario import ScenarioSpec, run
 
 
 class StubNode:
@@ -66,15 +65,15 @@ def test_non_monotone_front_detected():
 
 def test_real_run_front_is_monotone():
     """Protocol B's growing committed region implies a monotone front."""
-    cfg = ThresholdRunConfig(
-        spec=GridSpec(18, 18, r=1, torus=True),
+    spec = ScenarioSpec(
+        grid=GridSpec(18, 18, r=1, torus=True),
         t=1,
         mf=2,
         placement=RandomPlacement(t=1, count=6, seed=4),
         protocol="b",
         batch_per_slot=2,
     )
-    report = run(cfg.to_scenario_spec())
+    report = run(spec)
     assert report.success
     timeline = propagation_timeline(report.table, report.nodes)
     assert timeline.front_is_monotone
@@ -82,12 +81,12 @@ def test_real_run_front_is_monotone():
 
 
 def test_starved_band_shows_in_timeline():
-    spec = GridSpec(30, 30, r=2, torus=True)
-    grid = Grid(spec)
+    grid_spec = GridSpec(30, 30, r=2, torus=True)
+    grid = Grid(grid_spec)
     placement, band_rows = two_stripe_band(grid, t=2, band_height=6, below_y0=8)
-    band = [grid.id_of((x, y)) for y in band_rows for x in range(30)]
-    cfg = ThresholdRunConfig(
-        spec=spec,
+    band = tuple(grid.id_of((x, y)) for y in band_rows for x in range(30))
+    spec = ScenarioSpec(
+        grid=grid_spec,
         t=2,
         mf=3,
         placement=placement,
@@ -96,7 +95,7 @@ def test_starved_band_shows_in_timeline():
         protected=band,
         batch_per_slot=4,
     )
-    report = run(cfg.to_scenario_spec())
+    report = run(spec)
     timeline = propagation_timeline(report.table, report.nodes)
     assert timeline.covered_radius < 15
     incomplete = [b for b in timeline.buckets if not b.complete]

@@ -1,6 +1,6 @@
 """Integration tests: every experiment regenerates the paper's claims.
 
-These run the same harnesses the benchmarks use, at reduced sizes where
+These run the same harnesses `python -m repro run` uses, at reduced sizes where
 the full configuration would be slow; E2 runs at the paper's exact
 parameters because its numbers are the point.
 """

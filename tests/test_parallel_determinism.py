@@ -25,7 +25,7 @@ from repro.experiments.e7_reactive import run_reactive
 from repro.experiments.e9_ablations import run_growth_shape
 from repro.network.grid import Grid, GridSpec
 from repro.radio.medium import Medium
-from repro.runner.broadcast_run import ReactiveRunConfig
+from repro.scenario import ScenarioSpec
 from repro.scenario import run as run_spec
 from repro.adversary.placement import RandomPlacement
 
@@ -132,17 +132,16 @@ class TestFastPathScenarioEquivalence:
     def test_e7_reactive_scenario(self, monkeypatch):
         # Seeded B_reactive run: coded jams, NACK traffic, spoofed
         # senders, and silence outcomes all appear in the slot stream.
-        cfg = ReactiveRunConfig(
-            spec=GridSpec(width=12, height=12, r=1, torus=True),
+        spec = ScenarioSpec(
+            grid=GridSpec(width=12, height=12, r=1, torus=True),
             t=1,
             mf=3,
             mmax=10**6,
+            protocol="reactive",
             placement=RandomPlacement(t=1, count=5, seed=503),
             seed=3,
         )
-        recorded = self._harvest(
-            monkeypatch, lambda: run_spec(cfg.to_scenario_spec())
-        )
+        recorded = self._harvest(monkeypatch, lambda: run_spec(spec))
         self._assert_equivalent(recorded)
 
     @pytest.mark.slow
@@ -157,17 +156,18 @@ class TestFastPathScenarioEquivalence:
     def test_whole_run_reference_path_matches_fast_path(self, monkeypatch):
         # Flip the process-wide default and re-run a full scenario: the
         # end-to-end report must not change in any observable way.
-        cfg = ReactiveRunConfig(
-            spec=GridSpec(width=12, height=12, r=1, torus=True),
+        spec = ScenarioSpec(
+            grid=GridSpec(width=12, height=12, r=1, torus=True),
             t=1,
             mf=2,
             mmax=10**6,
+            protocol="reactive",
             placement=RandomPlacement(t=1, count=4, seed=77),
             seed=5,
         )
-        fast_report = run_spec(cfg.to_scenario_spec())
+        fast_report = run_spec(spec)
         monkeypatch.setattr(medium_mod, "DEFAULT_FAST", False)
-        slow_report = run_spec(cfg.to_scenario_spec())
+        slow_report = run_spec(spec)
         assert fast_report.outcome == slow_report.outcome
         assert fast_report.costs == slow_report.costs
         assert fast_report.stats == slow_report.stats

@@ -5,16 +5,16 @@ import pytest
 from repro.adversary.placement import RandomPlacement, StripePlacement, two_stripe_band
 from repro.analysis.bounds import m0, protocol_b_relay_count
 from repro.network.grid import Grid, GridSpec
-from repro.runner.broadcast_run import ThresholdRunConfig
+from repro.scenario import ScenarioSpec
 from repro.scenario import run as run_spec
 
-SPEC = GridSpec(width=18, height=18, r=1, torus=True)
+GRID = GridSpec(width=18, height=18, r=1, torus=True)
 
 
-def run(protocol="b", behavior="jam", t=1, mf=2, m=None, spec=SPEC,
-        placement=None, protected=None, **kwargs):
-    cfg = ThresholdRunConfig(
-        spec=spec,
+def run(protocol="b", behavior="jam", t=1, mf=2, m=None, grid=GRID,
+        placement=None, protected=None):
+    spec = ScenarioSpec(
+        grid=grid,
         t=t,
         mf=mf,
         placement=placement or RandomPlacement(t=t, count=8, seed=2),
@@ -23,9 +23,8 @@ def run(protocol="b", behavior="jam", t=1, mf=2, m=None, spec=SPEC,
         m=m,
         protected=protected,
         batch_per_slot=4,
-        **kwargs,
     )
-    return run_spec(cfg.to_scenario_spec())
+    return run_spec(spec)
 
 
 class TestProtocolB:
@@ -74,7 +73,7 @@ class TestProtocolB:
             t=2,
             mf=3,
             m=lower - 1,
-            spec=spec,
+            grid=spec,
             placement=placement,
             protected=band,
         )
@@ -138,36 +137,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             run(protocol="nope")
 
-    @pytest.mark.filterwarnings(
-        "default:run_threshold_broadcast is deprecated"
-    )
-    def test_custom_behavior_requires_factory(self):
-        # The custom-factory guard lives in the deprecated entry point
-        # itself (to_scenario_spec maps "custom" to None), so this test
-        # deliberately goes through the shim.
-        from repro.errors import ConfigurationError
-        from repro.runner.broadcast_run import run_threshold_broadcast
-
-        with pytest.raises(ConfigurationError):
-            run_threshold_broadcast(
-                ThresholdRunConfig(
-                    spec=SPEC,
-                    t=1,
-                    mf=2,
-                    placement=RandomPlacement(t=1, count=8, seed=2),
-                    protocol="b",
-                    behavior="custom",
-                )
-            )
-
     def test_placement_validated_against_t(self):
         from repro.errors import PlacementError
 
-        spec = GridSpec(width=30, height=30, r=2, torus=True)
+        grid = GridSpec(width=30, height=30, r=2, torus=True)
         with pytest.raises(PlacementError):
             run(
                 protocol="b",
                 t=1,
-                spec=spec,
+                grid=grid,
                 placement=StripePlacement(y0=8, t=3),  # 3 bad per window > t=1
             )

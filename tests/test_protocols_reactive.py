@@ -12,8 +12,7 @@ from repro.protocols.reactive import (
     ReactivePhase,
 )
 from repro.radio.messages import MessageKind
-from repro.runner.broadcast_run import ReactiveRunConfig
-from repro.scenario import run
+from repro.scenario import ScenarioSpec, run
 from repro.types import Role
 
 
@@ -125,12 +124,13 @@ class TestReactiveNodeUnit:
         assert node.accepted_value == 1
 
 
-SPEC = GridSpec(width=12, height=12, r=1, torus=True)
+GRID = GridSpec(width=12, height=12, r=1, torus=True)
 
 
 def reactive_run(**kwargs):
     defaults = dict(
-        spec=SPEC,
+        grid=GRID,
+        protocol="reactive",
         t=1,
         mf=2,
         mmax=10**4,
@@ -138,7 +138,7 @@ def reactive_run(**kwargs):
         seed=0,
     )
     defaults.update(kwargs)
-    return run(ReactiveRunConfig(**defaults).to_scenario_spec())
+    return run(ScenarioSpec(**defaults))
 
 
 class TestBReactiveIntegration:
@@ -159,11 +159,11 @@ class TestBReactiveIntegration:
             assert node.data_sent + node.nacks_sent <= bound
 
     def test_forced_forgeries_break_cpa(self):
-        report = reactive_run(p_forge_override=1.0, mf=20, seed=1)
+        report = reactive_run(behavior_params={"p_forge": 1.0}, mf=20, seed=1)
         assert report.outcome.wrong_good > 0
 
     def test_zero_forge_probability_always_safe(self):
-        report = reactive_run(p_forge_override=0.0, mf=5, seed=2)
+        report = reactive_run(behavior_params={"p_forge": 0.0}, mf=5, seed=2)
         assert report.outcome.wrong_good == 0
         assert report.success
 

@@ -73,34 +73,6 @@ class TestCli:
             main(["run", "e99"])
 
 
-class TestBenchCli:
-    def test_bench_quick_writes_trajectory(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_slot_resolution.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "slot-resolution microbenchmark" in printed
-        assert "overall speedup" in printed
-        import json
-
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["benchmark"] == "slot_resolution"
-        (entry,) = payload["runs"]
-        assert entry["quick"] is True
-        names = {s["name"] for s in entry["scenarios"]}
-        assert "defended-source" in names
-        # The PR's acceptance bar: >= 3x on the E2 slot-resolution bench.
-        assert entry["overall_speedup"] >= 3.0
-
-    def test_bench_appends_to_existing_trajectory(self, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        import json
-
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert len(payload["runs"]) == 2
-
-
 class TestScenarioCli:
     def test_list_shows_presets(self, capsys):
         assert main(["scenario", "list"]) == 0

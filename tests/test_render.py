@@ -4,8 +4,7 @@ from repro.adversary.placement import RandomPlacement
 from repro.analysis.render import coverage_summary, render_decisions
 from repro.network.grid import Grid, GridSpec
 from repro.network.node import NodeTable
-from repro.runner.broadcast_run import ThresholdRunConfig
-from repro.scenario import run
+from repro.scenario import ScenarioSpec, run
 
 
 class StubNode:
@@ -53,15 +52,15 @@ def test_coverage_summary_counts():
 
 
 def test_render_on_real_run():
-    cfg = ThresholdRunConfig(
-        spec=GridSpec(12, 12, r=1, torus=True),
+    spec = ScenarioSpec(
+        grid=GridSpec(12, 12, r=1, torus=True),
         t=1,
         mf=1,
         placement=RandomPlacement(t=1, count=4, seed=0),
         protocol="b",
         batch_per_slot=4,
     )
-    report = run(cfg.to_scenario_spec())
+    report = run(spec)
     art = render_decisions(report.table, report.nodes, 1)
     assert art.count("S") == 1
     assert art.count("x") == 4

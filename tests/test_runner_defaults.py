@@ -6,19 +6,19 @@ from repro.adversary.placement import RandomPlacement
 from repro.analysis.bounds import koo_budget, protocol_b_relay_count
 from repro.network.grid import GridSpec
 from repro.protocols.protocol_b import protocol_b_required_budget
-from repro.runner.broadcast_run import ReactiveRunConfig, ThresholdRunConfig
+from repro.scenario import ScenarioSpec
 from repro.scenario import run as run_spec
 
-SPEC = GridSpec(width=12, height=12, r=1, torus=True)
+GRID = GridSpec(width=12, height=12, r=1, torus=True)
 PLACEMENT = RandomPlacement(t=1, count=4, seed=9)
 
 
 def run(**kwargs):
     defaults = dict(
-        spec=SPEC, t=1, mf=2, placement=PLACEMENT, protocol="b", batch_per_slot=4
+        grid=GRID, t=1, mf=2, placement=PLACEMENT, protocol="b", batch_per_slot=4
     )
     defaults.update(kwargs)
-    return run_spec(ThresholdRunConfig(**defaults).to_scenario_spec())
+    return run_spec(ScenarioSpec(**defaults))
 
 
 class TestDefaultBudgets:
@@ -54,13 +54,13 @@ class TestDefaultBudgets:
 class TestReportHandles:
     def test_report_exposes_live_objects(self):
         report = run()
-        assert report.grid.n == SPEC.n
+        assert report.grid.n == GRID.n
         assert report.success == report.outcome.success
         assert set(report.nodes) == set(report.table.good_ids)
 
     def test_relay_override_changes_sends(self):
         default = run(m=None)
-        boosted = run(m=6, relay_override=6)
+        boosted = run(m=6, protocol_params={"relay_override": 6})
         assert boosted.costs.good_max == 6
         assert default.costs.good_max == protocol_b_relay_count(1, 1, 2)
 
@@ -76,9 +76,15 @@ class TestMaxRoundsDefaults:
 
     def test_reactive_default_cap_suffices(self):
         report = run_spec(
-            ReactiveRunConfig(
-                spec=SPEC, t=1, mf=1, mmax=100, placement=PLACEMENT, seed=0
-            ).to_scenario_spec()
+            ScenarioSpec(
+                grid=GRID,
+                t=1,
+                mf=1,
+                mmax=100,
+                placement=PLACEMENT,
+                protocol="reactive",
+                seed=0,
+            )
         )
         assert report.success and report.stats.quiescent
 

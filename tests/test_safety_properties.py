@@ -16,10 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary.placement import RandomPlacement
 from repro.network.grid import GridSpec
-from repro.runner.broadcast_run import ReactiveRunConfig, ThresholdRunConfig
-from repro.scenario import run
+from repro.scenario import ScenarioSpec, run
 
-SPEC = GridSpec(width=12, height=12, r=1, torus=True)
+GRID = GridSpec(width=12, height=12, r=1, torus=True)
 
 scenario = st.fixed_dictionaries(
     {
@@ -36,8 +35,8 @@ scenario = st.fixed_dictionaries(
 
 def run_scenario(cfg):
     return run(
-        ThresholdRunConfig(
-            spec=SPEC,
+        ScenarioSpec(
+            grid=GRID,
             t=cfg["t"],
             mf=cfg["mf"],
             placement=RandomPlacement(
@@ -47,7 +46,7 @@ def run_scenario(cfg):
             behavior=cfg["behavior"],
             m=cfg["m"] if cfg["protocol"] != "heter" else None,
             batch_per_slot=4,
-        ).to_scenario_spec()
+        )
     )
 
 
@@ -86,14 +85,15 @@ def test_runs_are_deterministic(cfg):
 )
 def test_reactive_safety_with_recommended_code(placement_seed, seed, mf):
     report = run(
-        ReactiveRunConfig(
-            spec=SPEC,
+        ScenarioSpec(
+            grid=GRID,
             t=1,
             mf=mf,
             mmax=10**4,
             placement=RandomPlacement(t=1, count=6, seed=placement_seed),
+            protocol="reactive",
             seed=seed,
-        ).to_scenario_spec()
+        )
     )
     # With the recommended code length, forgery probability is ~1e-7 per
     # attack: these runs must deliver everywhere, correctly.

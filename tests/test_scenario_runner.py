@@ -6,12 +6,6 @@ from repro.adversary.base import NullAdversary
 from repro.adversary.placement import RandomPlacement, StripePlacement
 from repro.errors import ConfigurationError
 from repro.network.grid import GridSpec
-from repro.runner.broadcast_run import (
-    ReactiveRunConfig,
-    ThresholdRunConfig,
-    run_reactive_broadcast,
-    run_threshold_broadcast,
-)
 from repro.runner.parallel import ResultCache, sweep
 from repro.scenario import (
     ScenarioSpec,
@@ -64,65 +58,6 @@ class TestRegistries:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
             protocols.register("b", protocols.get("b"))
-
-
-class TestRunEquivalence:
-    """run(spec) reproduces the deprecated entry points bit-for-bit.
-
-    The class calls the shims on purpose, so it opts back out of the
-    pytest.ini error filters for repro's own deprecation warnings.
-    """
-
-    pytestmark = [
-        pytest.mark.filterwarnings(
-            "default:run_threshold_broadcast is deprecated"
-        ),
-        pytest.mark.filterwarnings(
-            "default:run_reactive_broadcast is deprecated"
-        ),
-    ]
-
-    def test_threshold_matches_deprecated_shim(self):
-        cfg = ThresholdRunConfig(
-            spec=GridSpec(width=30, height=30, r=2, torus=True),
-            t=2,
-            mf=3,
-            placement=StripePlacement(y0=8, t=2),
-            protocol="b",
-            m=6,
-            batch_per_slot=4,
-        )
-        via_shim = run_threshold_broadcast(cfg)
-        via_spec = run(cfg.to_scenario_spec())
-        assert via_spec.outcome == via_shim.outcome
-        assert via_spec.costs == via_shim.costs
-        assert via_spec.stats == via_shim.stats
-
-    def test_reactive_matches_deprecated_shim(self):
-        cfg = ReactiveRunConfig(
-            spec=GridSpec(width=12, height=12, r=1, torus=True),
-            t=1,
-            mf=2,
-            mmax=10**6,
-            placement=RandomPlacement(t=1, count=4, seed=77),
-            seed=5,
-        )
-        via_shim = run_reactive_broadcast(cfg)
-        via_spec = run(cfg.to_scenario_spec())
-        assert via_spec.outcome == via_shim.outcome
-        assert via_spec.costs == via_shim.costs
-        assert via_spec.stats == via_shim.stats
-
-    def test_custom_behavior_without_factory_still_rejected(self):
-        cfg = ThresholdRunConfig(
-            spec=GridSpec(width=30, height=30, r=2, torus=True),
-            t=2,
-            mf=3,
-            placement=StripePlacement(y0=8, t=2),
-            behavior="custom",
-        )
-        with pytest.raises(ConfigurationError, match="adversary_factory"):
-            run_threshold_broadcast(cfg)
 
 
 class TestBehaviorResolution:

@@ -24,7 +24,7 @@ from repro.network.grid import Grid, GridSpec
 from repro.protocols import vectorized
 from repro.protocols.base import ThresholdNode
 from repro.protocols.vectorized import LazyNodeMap
-from repro.scenario import ScenarioSpec
+from repro.scenario import ScenarioSpec, preset
 from repro.scenario import run as run_scenario
 
 
@@ -123,10 +123,23 @@ def test_flag_off_falls_through():
         vectorized.DEFAULT_VECTOR = saved
 
 
-def test_kernel_report_matches_flat_report():
+def _megatorus_replica() -> ScenarioSpec:
+    # The 10^6-node showcase preset is too slow for the flat engines; a
+    # 100x100 grid with its r and torus keeps every other field.
+    spec = preset("megatorus")
+    grid = GridSpec(width=100, height=100, r=spec.grid.r, torus=spec.grid.torus)
+    return spec.replace(grid=grid)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [_eligible_spec, _megatorus_replica],
+    ids=["eligible", "megatorus-100x100"],
+)
+def test_kernel_report_matches_flat_report(make_spec):
     # One end-to-end pin right here (the broad sweep lives in the triple
     # differential): same spec through kernel and flat engines.
-    spec = _eligible_spec()
+    spec = make_spec()
     vector_report = run_scenario(spec)
     saved = vectorized.DEFAULT_VECTOR
     vectorized.DEFAULT_VECTOR = False
