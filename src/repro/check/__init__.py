@@ -16,9 +16,9 @@ RPR002   wall-clock read (``time.time`` / ``datetime.now``) in engine code
 RPR003   environment read (``os.environ`` / ``os.getenv``) in engine code
 RPR004   iteration over an unordered set in engine code without ``sorted``
 RPR005   ``id()``-based ordering
-RPR101   engine ``DEFAULT_*`` flag module without a seam registration
-RPR102   registered seam whose differential test is missing or silent
-RPR103   seam registered without a fuzz leg
+RPR101   module-level ``DEFAULT_* = True/False`` implementation switch
+RPR102   seam whose differential test is missing or silent
+RPR103   seam whose tier is not ``Tier.FAST`` or ``Tier.VECTOR``
 RPR201   concrete component class whose module never registers it
 RPR202   adversary class that declares no fast-path capability flag
 RPR203   registered component missing from the fuzz sampler matrix

@@ -1,23 +1,23 @@
 """Seam rules (RPR101–RPR103).
 
-Every fast path in this repository keeps a byte-identical reference twin
-behind a module-level ``DEFAULT_*`` boolean flag, and registers the pair
-in :mod:`repro.seams` so the fuzz runner flips it differentially. These
-rules close the loop statically:
+Every fast path in this repository keeps a byte-identical reference twin,
+listed as a :class:`repro.seams.Seam` in :data:`repro.seams.SEAMS`, and a
+run picks its side through the per-call :class:`repro.seams.Tier`
+argument. These rules close the loop statically:
 
-- RPR101: a module that defines an engine flag (module-level
-  ``DEFAULT_* = True/False``) must register a :class:`repro.seams.Seam`;
-  an unregistered flag is a fast path outside the differential net.
-- RPR102: every registered seam's declared differential test must exist
-  under ``tests/`` and actually mention the seam — either the flag
-  attribute it flips or both implementation names. A seam whose test
-  went silent is indistinguishable from an untested seam.
-- RPR103: a seam must declare a fuzz leg (``"fast"`` or ``"vector"``).
-  The runtime registry fails a fuzz run loudly on this; the static rule
-  catches it at review time instead.
+- RPR101: no module-level ``DEFAULT_* = True/False`` switch. The tier is
+  a value passed per call; a process-global boolean that picks an
+  implementation cannot come back.
+- RPR102: every seam's declared differential test must exist under
+  ``tests/`` and actually mention the seam — either its tier
+  (``Tier.FAST`` / ``Tier.VECTOR``) or both implementation names. A seam
+  whose test went silent is indistinguishable from an untested seam.
+- RPR103: a seam's tier must be ``Tier.FAST`` or ``Tier.VECTOR``; a seam
+  at ``Tier.REFERENCE`` (or none) would never meet its twin in a
+  differential run.
 
-Registration sites are parsed statically (``Seam(...)`` keyword string
-literals), so the checker needs no imports and runs on broken trees.
+Seams are parsed statically (``Seam(...)`` keyword literals), so the
+checker needs no imports and runs on broken trees.
 """
 
 from __future__ import annotations
@@ -33,12 +33,15 @@ from repro.check.framework import (
     SourceFile,
     dotted_name,
 )
-from repro.seams import FUZZ_LEGS
+from repro.seams import Tier
+
+#: The tiers a seam's fast side may run at.
+_SEAM_TIERS = (Tier.FAST.name, Tier.VECTOR.name)
 
 
 @dataclass(frozen=True)
 class StaticSeam:
-    """A ``Seam(...)`` registration as read off the AST."""
+    """A ``Seam(...)`` construction as read off the AST."""
 
     file: SourceFile
     node: ast.Call
@@ -47,10 +50,15 @@ class StaticSeam:
     def get(self, key: str) -> str | None:
         return self.fields.get(key)
 
+    @property
+    def tier(self) -> str:
+        """The tier's member name (``"FAST"``), or ``""`` if not literal."""
+        return (self.get("tier") or "").rsplit(".", 1)[-1]
 
-def _module_flags(f: SourceFile) -> list[tuple[str, ast.stmt]]:
+
+def _module_switches(f: SourceFile) -> list[tuple[str, ast.stmt]]:
     """Module-level ``DEFAULT_* = True/False`` assignments."""
-    flags: list[tuple[str, ast.stmt]] = []
+    switches: list[tuple[str, ast.stmt]] = []
     for stmt in f.tree.body:
         if isinstance(stmt, ast.Assign):
             targets = [
@@ -70,12 +78,16 @@ def _module_flags(f: SourceFile) -> list[tuple[str, ast.stmt]]:
             continue
         for name in targets:
             if name.startswith("DEFAULT_"):
-                flags.append((name, stmt))
-    return flags
+                switches.append((name, stmt))
+    return switches
 
 
 def collect_static_seams(project: ProjectIndex) -> list[StaticSeam]:
-    """Every ``Seam(...)`` construction in the scanned tree."""
+    """Every ``Seam(...)`` construction in the scanned tree.
+
+    String keywords are kept as literals and attribute keywords
+    (``tier=Tier.FAST``) as their dotted name.
+    """
     seams: list[StaticSeam] = []
     for f in project.src_files():
         for node in ast.walk(f.tree):
@@ -93,69 +105,54 @@ def collect_static_seams(project: ProjectIndex) -> list[StaticSeam]:
                     fields[kw.arg] = value if isinstance(value, str) else (
                         None if value is None else str(value)
                     )
+                else:
+                    fields[kw.arg] = dotted_name(kw.value)
             seams.append(StaticSeam(file=f, node=node, fields=fields))
     return seams
 
 
-class SeamRegistrationRule(Rule):
+class ModuleSwitchRule(Rule):
     rule_id = "RPR101"
-    title = "engine flag module without a seam registration"
+    title = "module-level boolean implementation switch"
     rationale = (
-        "A DEFAULT_* boolean flag marks a fast/reference seam; a module "
-        "that defines one without registering a repro.seams.Seam has a "
-        "fast path the fuzz runner never flips."
+        "A DEFAULT_* boolean picks an implementation for the whole "
+        "process; the execution tier is a per-call value "
+        "(run(spec, tier=...)), so such a switch cannot come back."
     )
 
     def check(self, project: ProjectIndex) -> Iterator[Finding]:
-        static_seams = collect_static_seams(project)
-        registered_flags = {
-            (seam.get("flag_module"), seam.get("flag_attr"))
-            for seam in static_seams
-        }
         for f in project.src_files():
-            module = _module_dotted(f)
-            for flag_name, stmt in _module_flags(f):
-                if (module, flag_name) not in registered_flags:
-                    yield self.finding(
-                        f,
-                        stmt,
-                        f"module-level engine flag {flag_name} has no "
-                        "repro.seams.Seam registration; every fast/reference "
-                        "seam must be registered so repro.fuzz flips it",
-                    )
-
-
-def _module_dotted(f: SourceFile) -> str:
-    """``src/repro/radio/medium.py`` -> ``repro.radio.medium``."""
-    rel = f.rel
-    if rel.startswith("src/"):
-        rel = rel[len("src/"):]
-    rel = rel[:-len(".py")] if rel.endswith(".py") else rel
-    if rel.endswith("/__init__"):
-        rel = rel[: -len("/__init__")]
-    return rel.replace("/", ".")
+            for switch, stmt in _module_switches(f):
+                yield self.finding(
+                    f,
+                    stmt,
+                    f"module-level boolean switch {switch}; pick the "
+                    "implementation per call with a repro.seams.Tier "
+                    "(run(spec, tier=...)) and list the pair in "
+                    "repro.seams.SEAMS",
+                )
 
 
 class SeamDifferentialTestRule(Rule):
     rule_id = "RPR102"
-    title = "registered seam without a live differential test"
+    title = "seam without a live differential test"
     rationale = (
-        "A seam's safety net is its differential test; the registration "
-        "must point at a test file that exists and names the seam."
+        "A seam's safety net is its differential test; the seam must "
+        "point at a test file that exists and names the seam."
     )
 
     def check(self, project: ProjectIndex) -> Iterator[Finding]:
         tests = project.test_sources()
         for seam in collect_static_seams(project):
             name = seam.get("name") or "<unnamed>"
-            for required in ("flag_module", "flag_attr", "fast", "reference"):
+            for required in ("fast", "reference"):
                 if not seam.get(required):
                     yield self.finding(
                         seam.file,
                         seam.node,
-                        f"seam {name!r} registration omits the {required!r} "
-                        "field (or passes it non-literally); the checker "
-                        "needs literal strings to verify the seam",
+                        f"seam {name!r} omits the {required!r} field (or "
+                        "passes it non-literally); the checker needs "
+                        "literal strings to verify the seam",
                     )
             test_path = seam.get("differential_test")
             if not test_path:
@@ -175,69 +172,51 @@ class SeamDifferentialTestRule(Rule):
                     f"{test_path!r}, which does not exist",
                 )
                 continue
-            flag_attr = seam.get("flag_attr") or ""
+            tier_token = f"Tier.{seam.tier}" if seam.tier else ""
             fast_token = (seam.get("fast") or "").rsplit(".", 1)[-1]
             ref_token = (seam.get("reference") or "").rsplit(".", 1)[-1]
-            names_flag = bool(flag_attr) and flag_attr in source
+            names_tier = bool(tier_token) and tier_token in source
             names_pair = (
                 bool(fast_token)
                 and bool(ref_token)
                 and fast_token in source
                 and ref_token in source
             )
-            if not (names_flag or names_pair):
+            if not (names_tier or names_pair):
                 yield self.finding(
                     seam.file,
                     seam.node,
                     f"differential test {test_path!r} for seam {name!r} "
-                    f"mentions neither the flag {flag_attr!r} nor both "
+                    f"mentions neither its tier {tier_token!r} nor both "
                     f"implementations ({fast_token!r}/{ref_token!r}); the "
                     "test no longer exercises this seam",
                 )
-            # The flag the seam claims to flip must exist where it claims.
-            flag_module = seam.get("flag_module")
-            flag_file = project.file(
-                "src/" + (flag_module or "").replace(".", "/") + ".py"
-            )
-            if flag_file is None or flag_attr not in (
-                name for name, _ in _module_flags(flag_file)
-            ):
-                yield self.finding(
-                    seam.file,
-                    seam.node,
-                    f"seam {name!r} claims flag {flag_module}.{flag_attr}, "
-                    "but no such module-level boolean flag exists",
-                )
 
 
-class SeamFuzzLegRule(Rule):
+class SeamTierRule(Rule):
     rule_id = "RPR103"
-    title = "seam registered without a fuzz leg"
+    title = "seam whose tier is not FAST or VECTOR"
     rationale = (
-        "repro.fuzz only flips seams that declare a leg; a legless seam "
-        "escapes differential fuzzing (the runtime registry also refuses "
-        "to fuzz while one exists)."
+        "Tier.REFERENCE runs every reference twin, so a seam's fast side "
+        "must sit at Tier.FAST or Tier.VECTOR for the differential runs "
+        "(and repro.fuzz) to compare the two."
     )
 
     def check(self, project: ProjectIndex) -> Iterator[Finding]:
         for seam in collect_static_seams(project):
-            name = seam.get("name") or "<unnamed>"
-            has_kwarg = any(
-                kw.arg == "fuzz_leg" for kw in seam.node.keywords
-            )
-            leg = seam.get("fuzz_leg")
-            if has_kwarg and (leg is None or leg not in FUZZ_LEGS):
+            if seam.tier not in _SEAM_TIERS:
+                name = seam.get("name") or "<unnamed>"
                 yield self.finding(
                     seam.file,
                     seam.node,
-                    f"seam {name!r} declares fuzz_leg={leg!r}; it must be "
-                    f"one of {', '.join(repr(leg) for leg in FUZZ_LEGS)} so "
-                    "repro.fuzz exercises the seam differentially",
+                    f"seam {name!r} declares tier={seam.get('tier')!r}; it "
+                    "must be Tier.FAST or Tier.VECTOR so a Tier.REFERENCE "
+                    "run compares the fast side with its twin",
                 )
 
 
 RULES = (
-    SeamRegistrationRule(),
+    ModuleSwitchRule(),
     SeamDifferentialTestRule(),
-    SeamFuzzLegRule(),
+    SeamTierRule(),
 )

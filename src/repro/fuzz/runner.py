@@ -1,9 +1,10 @@
 """Differential case execution for the fuzz subsystem.
 
 One fuzz *case* runs a sampled :class:`~repro.scenario.spec.ScenarioSpec`
-twice — once with every fast-path layer enabled (batched round driver,
-flat protocol engines, fast slot resolver, warm world) and once with all
-of them forced onto the historical reference implementations — and then:
+twice — once at ``Tier.FAST`` (batched round driver, flat protocol
+engines, fast slot resolver, warm world) and once at ``Tier.REFERENCE``
+(every historical reference implementation, see :mod:`repro.seams`) —
+and then:
 
 1. asserts the two :class:`~repro.runner.report.BroadcastReport` objects
    are identical in every observable (outcome, costs, statistics, and
@@ -11,10 +12,10 @@ of them forced onto the historical reference implementations — and then:
 2. checks every applicable :mod:`repro.fuzz.oracles` invariant on *both*
    reports.
 
-When NumPy is installed a third leg runs with the whole-grid vectorized
-kernel enabled (:mod:`repro.protocols.vectorized`) and is compared
-against the reference report the same way — every sampled case then
-cross-checks vectorized vs flat vs reference.
+When NumPy is installed a third leg runs at ``Tier.VECTOR``, which adds
+the whole-grid kernel (:mod:`repro.protocols.vectorized`), and is
+compared against the reference report the same way — every sampled
+case then cross-checks vectorized vs flat vs reference.
 
 A deterministic slice of cases (selected by content hash, so the CI
 digest repeats across worker counts) additionally runs a **chaos leg**:
@@ -42,7 +43,6 @@ from typing import Any, Callable, Iterator
 
 import repro.protocols.vectorized as vectorized
 import repro.scenario.runner as scenario_runner
-import repro.seams as seams
 from repro.adversary.placement import BernoulliPlacement, RandomPlacement
 from repro.chaos import inject as chaos_inject
 from repro.chaos.plan import Fault, FaultPlan
@@ -54,44 +54,26 @@ from repro.runner.parallel import sweep as cache_sweep
 from repro.scenario.runner import run as run_scenario
 from repro.scenario.runner import validate
 from repro.scenario.spec import ScenarioSpec
-
-def _mode_flags() -> list[tuple[Any, Any]]:
-    """(seam, flag module) pairs for every registered fast/reference seam.
-
-    The flag list used to be hard-coded here; it now comes from
-    :mod:`repro.seams`, so a newly registered seam is exercised by every
-    fuzz case automatically — and a seam that registers *without* a fuzz
-    leg aborts the run loudly (see :func:`repro.seams.fuzz_flags`)
-    instead of silently escaping the differential net.
-    """
-    return list(seams.fuzz_flags())
+from repro.seams import Tier
 
 
 def _run_mode(spec: ScenarioSpec, *, fast: bool, vector: bool = False):
-    """Run ``spec`` with all fast-path layers forced on or off.
+    """Run ``spec`` at ``Tier.FAST`` (``fast``) or ``Tier.REFERENCE``.
 
-    ``vector=True`` (implies ``fast``) additionally enables the
-    ``fuzz_leg="vector"`` seams (the NumPy whole-grid kernel) — which
-    engage only for eligible specs, so a vector-mode report may still
-    come from the flat engine; callers that need to know check
-    ``isinstance(report.nodes, vectorized.LazyNodeMap)``. Plain fast
-    runs keep vector seams *off* so the flat engines stay under test.
+    ``vector=True`` (implies ``fast``) runs at ``Tier.VECTOR``, where the
+    NumPy whole-grid kernel engages only for eligible specs, so a
+    vector-mode report may still come from the flat engine; callers
+    that need to know check ``isinstance(report.nodes,
+    vectorized.LazyNodeMap)``. Plain fast runs stay at ``Tier.FAST`` so
+    the flat engines remain under test.
 
     Returns ``(report, medium)``; the medium is only captured for warm
     fast runs (it feeds the delivery-batch immutability oracle).
     """
-    flags = _mode_flags()
-    saved = [getattr(module, seam.flag_attr) for seam, module in flags]
-    for seam, module in flags:
-        value = fast if seam.fuzz_leg == "fast" else fast and vector
-        setattr(module, seam.flag_attr, value)
-    try:
-        report = run_scenario(spec)
-        medium = scenario_runner._world_for(spec)[2] if fast else None
-        return report, medium
-    finally:
-        for (seam, module), value in zip(flags, saved):
-            setattr(module, seam.flag_attr, value)
+    if not fast:
+        return run_scenario(spec, tier=Tier.REFERENCE), None
+    report = run_scenario(spec, tier=Tier.VECTOR if vector else Tier.FAST)
+    return report, scenario_runner._world_for(spec)[2]
 
 
 # -- report comparison ---------------------------------------------------------

@@ -44,11 +44,6 @@ from repro.errors import ConfigurationError
 from repro.geometry.linf import chebyshev, chebyshev_torus, linf_ball_offsets
 from repro.types import Coord, NodeId
 
-#: Build the CSR neighbor table with NumPy when it is available. The
-#: result is byte-identical to the python build (tests pin this); the
-#: flag exists so the differential suite can force the python path.
-DEFAULT_FAST_BUILD = True
-
 
 class _LazyNeighborView:
     """List-like per-node neighbor tuples, materialized on first access.
@@ -137,12 +132,16 @@ class GridSpec:
 class Grid:
     """A concrete grid with precomputed neighborhoods.
 
+    ``fast`` builds the CSR neighbor table with NumPy when it is
+    available; ``fast=False`` forces the byte-identical python build
+    (the ``grid-build`` seam's reference twin).
+
     >>> grid = Grid(GridSpec(10, 10, r=1, torus=True))
     >>> len(grid.neighbors(grid.id_of((0, 0))))
     8
     """
 
-    def __init__(self, spec: GridSpec) -> None:
+    def __init__(self, spec: GridSpec, *, fast: bool = True) -> None:
         self.spec = spec
         self.width = spec.width
         self.height = spec.height
@@ -157,7 +156,7 @@ class Grid:
         self._ids_arr: array | None = None
         self._starts_np = None
         self._ids_np = None
-        if _np is not None and DEFAULT_FAST_BUILD:
+        if _np is not None and fast:
             self._build_neighbors_numpy()
         else:
             self._neighbors: list[tuple[NodeId, ...]] = self._build_neighbors()
@@ -367,18 +366,3 @@ class Grid:
         kind = "torus" if self.torus else "bounded"
         return f"<Grid {self.width}x{self.height} r={self.r} {kind}>"
 
-
-from repro import seams as _seams  # noqa: E402
-
-_seams.register(
-    _seams.Seam(
-        name="grid-build",
-        flag_module="repro.network.grid",
-        flag_attr="DEFAULT_FAST_BUILD",
-        fast="repro.network.grid.Grid._build_neighbors_numpy",
-        reference="repro.network.grid.Grid._build_neighbors",
-        differential_test="tests/test_vectorized.py",
-        fuzz_leg="fast",
-        description="NumPy CSR neighbor-table build vs the python build",
-    )
-)

@@ -16,7 +16,7 @@ state onto flat id-indexed arrays shared by all nodes of a run:
   sender)`` seen-set for the distinctness constraint.
 
 The node classes keep their historical dict/Counter implementations as
-the reference path (``DEFAULT_FLAT = False`` routes whole scenarios
+the reference path (a ``Tier.REFERENCE`` run routes whole scenarios
 through them; the equivalence suite asserts identical reports, mirroring
 ``resolve_slot_reference``). After a run, :meth:`sync_nodes` writes the
 flat state back into each node's ``value_counts`` / ``endorsements`` /
@@ -55,11 +55,6 @@ from repro.protocols.cpa import CpaNode
 from repro.radio.medium import shared_plan_cache
 from repro.radio.messages import MessageKind
 from repro.types import NodeId, Value
-
-#: Process-wide default for routing scenario runs through the flat
-#: engines. Tests monkeypatch this to drive whole experiments through
-#: the per-node reference implementations when checking equivalence.
-DEFAULT_FLAT = True
 
 
 class FlatThresholdEngine:
@@ -299,18 +294,3 @@ def build_flat_engine(
         return FlatCpaEngine(nodes, n, source, params.t + 1)
     return None
 
-
-from repro import seams as _seams  # noqa: E402
-
-_seams.register(
-    _seams.Seam(
-        name="flat-engines",
-        flag_module="repro.protocols.flat",
-        flag_attr="DEFAULT_FLAT",
-        fast="repro.protocols.flat.FlatThresholdEngine",
-        reference="repro.protocols.base.BroadcastNode.on_receive",
-        differential_test="tests/test_scenario_fastpath.py",
-        fuzz_leg="fast",
-        description="flat array protocol engines vs per-node objects",
-    )
-)

@@ -16,13 +16,14 @@ NumPy stays an *optional accelerator*: the kernel only takes a run it
 can reproduce bit-for-bit, and everything else falls through to the
 flat/reference path untouched. A run is eligible when
 
-- NumPy is importable and :data:`DEFAULT_VECTOR` is on, alongside the
-  fast-driver/flat-engine flags (reference mode must stay canonical);
+- the run is at ``Tier.VECTOR`` (:func:`repro.scenario.run` calls the
+  kernel at no other tier) and NumPy is importable;
 - the protocol registered a ``vector_build`` hook (the threshold family:
   ``b``, ``koo``, ``heter`` — CPA's endorsement sets are slot-order
   dependent, so it keeps the flat engine);
-- no tracing and no ``adversary_override`` (both are observation hooks
-  into per-slot execution, which the kernel does not perform);
+- no ``adversary_override`` (an observation hook into per-slot
+  execution, which the kernel does not perform; a traced run never gets
+  here because tracing runs at ``Tier.REFERENCE``);
 - the adversary can never transmit (``mf == 0`` or no bad nodes) *and*
   skipping its ``observe`` is unobservable (``observe_stateless``,
   ``observe_inert_when_broke``, or an un-overridden ``observe``).
@@ -57,11 +58,6 @@ from repro.radio.budget import BudgetLedger
 from repro.radio.messages import MessageKind
 from repro.scenario.registries import default_threshold_max_rounds
 from repro.types import NodeId, Role, Value
-
-#: Engine seam flag, mirroring ``mac.DEFAULT_FAST_DRIVER`` /
-#: ``flat.DEFAULT_FLAT``: the differential suites flip it to force the
-#: kernel on or off for one run.
-DEFAULT_VECTOR = True
 
 
 def available() -> bool:
@@ -440,25 +436,17 @@ def try_vector_run(
     source: NodeId,
     params: BroadcastParams,
     *,
-    tracer: Any,
     adversary_override: Callable[..., Any] | None,
 ) -> Any | None:
     """Run the scenario on the whole-grid kernel, or ``None`` if ineligible.
 
-    Called by :func:`repro.scenario.runner.run` before per-node protocol
-    assembly; a ``None`` return falls through to the flat/reference path
-    with nothing consumed (the adversary, if one was built to check
-    observe-safety, is rebuilt there — constructors are cheap and
-    deterministic in ``spec.seed``).
+    Called by :func:`repro.scenario.runner.run` at ``Tier.VECTOR`` before
+    per-node protocol assembly; a ``None`` return falls through to the
+    flat/reference path with nothing consumed (the adversary, if one was
+    built to check observe-safety, is rebuilt there — constructors are
+    cheap and deterministic in ``spec.seed``).
     """
-    if np is None or not DEFAULT_VECTOR:
-        return None
-    import repro.radio.mac as mac
-    from repro.protocols import flat
-
-    if not mac.DEFAULT_FAST_DRIVER or not flat.DEFAULT_FLAT:
-        return None
-    if tracer.enabled or adversary_override is not None:
+    if np is None or adversary_override is not None:
         return None
     vector_build = getattr(protocol, "vector_build", None)
     if vector_build is None:
@@ -467,6 +455,7 @@ def try_vector_run(
         return None  # the adversary could actually transmit
     from repro.scenario.registries import BehaviorContext, BuildContext, behaviors
     from repro.sim.rng import RngRegistry
+    from repro.sim.trace import NULL_TRACER
 
     program = vector_build(
         BuildContext(spec=spec, grid=grid, table=table, source=source, params=params)
@@ -483,7 +472,7 @@ def try_vector_run(
             ledger=ledger,
             params=params,
             rngs=RngRegistry(spec.seed),
-            tracer=tracer,
+            tracer=NULL_TRACER,
         )
     )
     if not _observe_safe(adversary):
@@ -523,19 +512,3 @@ def try_vector_run(
         assignment=program.assignment,
     )
 
-
-from repro import seams as _seams  # noqa: E402
-
-_seams.register(
-    _seams.Seam(
-        name="vector-kernel",
-        flag_module="repro.protocols.vectorized",
-        flag_attr="DEFAULT_VECTOR",
-        fast="repro.protocols.vectorized.try_vector_run",
-        reference="repro.protocols.flat.FlatThresholdEngine",
-        differential_test="tests/test_vectorized.py",
-        fuzz_leg="vector",
-        description="NumPy whole-grid round kernel vs the flat/reference "
-        "engines (third differential leg)",
-    )
-)

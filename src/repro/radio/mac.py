@@ -14,7 +14,7 @@ layers.
 Fast path
 ---------
 
-``DEFAULT_FAST_DRIVER`` routes rounds through a batched loop that is
+``RoundDriver(fast=True)`` (the default) runs a batched loop that is
 observably identical to the historical one (kept verbatim as
 ``_run_round_reference``; the scenario equivalence suite replays whole
 runs through both) but skips work the slot-by-slot loop repeats
@@ -45,8 +45,11 @@ needlessly:
   rounds replay their resolved delivery batches from
   :meth:`~repro.radio.medium.Medium.round_memo_get` in one dict hit.
 
-Tracing always uses the reference loop, so per-delivery trace output is
-unchanged.
+The batched loop emits no per-delivery trace events, so a driver with
+an enabled tracer must be built with ``fast=False``; anything else is a
+:class:`~repro.errors.ConfigurationError`, never a silently thinner
+trace. :func:`repro.scenario.run` runs every traced scenario at
+``Tier.REFERENCE`` for this reason.
 """
 
 from __future__ import annotations
@@ -63,11 +66,6 @@ from repro.radio.messages import BadTransmission, MessageKind, Transmission
 from repro.radio.schedule import TdmaSchedule
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.types import NodeId, Value
-
-#: Process-wide default for :class:`RoundDriver`'s ``fast`` switch.
-#: Tests monkeypatch this to drive whole experiments through the
-#: reference round loop when checking equivalence.
-DEFAULT_FAST_DRIVER = True
 
 #: Shared empty Byzantine-transmission list for unconsulted slots (never
 #: mutated; the medium only reads its arguments).
@@ -171,8 +169,8 @@ class RoundDriver:
     ``engine`` is an optional flat protocol-state engine (see
     :mod:`repro.protocols.flat`) that distributes whole delivery batches
     instead of per-delivery ``on_receive`` calls. ``fast`` selects the
-    batched round loop (default :data:`DEFAULT_FAST_DRIVER`); tracing
-    runs always use the reference loop.
+    batched round loop; ``fast=False`` runs the reference loop, which is
+    the only one that traces, so an enabled ``tracer`` requires it.
     """
 
     def __init__(
@@ -188,7 +186,7 @@ class RoundDriver:
         medium: Medium | None = None,
         schedule: TdmaSchedule | None = None,
         engine=None,
-        fast: bool | None = None,
+        fast: bool = True,
     ) -> None:
         missing = [nid for nid in table.good_ids if nid not in nodes]
         if missing:
@@ -197,6 +195,11 @@ class RoundDriver:
             )
         if batch_per_slot < 1:
             raise ConfigurationError("batch_per_slot must be >= 1")
+        if fast and tracer.enabled:
+            raise ConfigurationError(
+                "the batched round loop emits no per-delivery trace events; "
+                "build a traced RoundDriver with fast=False"
+            )
         self.grid = grid
         self.table = table
         self.nodes = nodes
@@ -207,7 +210,7 @@ class RoundDriver:
         self.medium = medium if medium is not None else Medium(grid)
         self.engine = engine
         self.tracer = tracer
-        self.fast = DEFAULT_FAST_DRIVER if fast is None else fast
+        self.fast = fast
         self.stats = RunStats()
         self._honest_ids = list(table.good_ids)
         self._bad_ids = list(table.bad_ids)
@@ -271,9 +274,8 @@ class RoundDriver:
     # -- main loop ----------------------------------------------------------
 
     def run(self, limits: RunLimits) -> RunStats:
-        use_fast = self.fast and not self.tracer.enabled
         for round_index in range(limits.max_rounds):
-            if use_fast:
+            if self.fast:
                 transmitted = self._run_round_fast(round_index)
             else:
                 transmitted = self._run_round_reference(round_index)
@@ -700,19 +702,3 @@ class RoundDriver:
     def _quiescent(self) -> bool:
         return not self._any_honest_active() and not self.adversary.has_pending()
 
-
-from repro import seams as _seams  # noqa: E402
-
-_seams.register(
-    _seams.Seam(
-        name="round-driver",
-        flag_module="repro.radio.mac",
-        flag_attr="DEFAULT_FAST_DRIVER",
-        fast="repro.radio.mac.RoundDriver._run_round_fast",
-        reference="repro.radio.mac.RoundDriver._run_round_reference",
-        differential_test="tests/test_scenario_fastpath.py",
-        fuzz_leg="fast",
-        description="batched round loop (burst dedup, whole-round memo) "
-        "vs the per-delivery reference loop",
-    )
-)

@@ -68,11 +68,6 @@ from repro.network.grid import Grid
 from repro.radio.messages import BadTransmission, MessageKind, Transmission
 from repro.types import NodeId, Value
 
-#: Process-wide default for :class:`Medium`'s ``fast`` switch. Tests
-#: monkeypatch this to drive whole experiments through the reference
-#: resolver when checking equivalence.
-DEFAULT_FAST = True
-
 #: Slot-memo bound: far above any real run's distinct slot-pattern
 #: population, but keeps a pathological transmission stream from growing
 #: the memo without bound (the memo is simply dropped when full).
@@ -193,11 +188,14 @@ def _apparent_sender(
 
 
 class Medium:
-    """Resolves concurrent transmissions into per-receiver deliveries."""
+    """Resolves concurrent transmissions into per-receiver deliveries.
 
-    def __init__(self, grid: Grid, *, fast: bool | None = None) -> None:
+    ``fast=False`` routes every slot through :meth:`resolve_slot_reference`.
+    """
+
+    def __init__(self, grid: Grid, *, fast: bool = True) -> None:
         self.grid = grid
-        self.fast = DEFAULT_FAST if fast is None else fast
+        self.fast = fast
         # Reusable flat scratch (multi-transmission slots), allocated on
         # the first multi-transmission slot: vectorized-kernel runs (and
         # single-transmission workloads) never resolve one, and five
@@ -450,18 +448,3 @@ class Medium:
         deliveries.sort(key=lambda d: (d.receiver, d.sender))
         return deliveries
 
-
-from repro import seams as _seams  # noqa: E402
-
-_seams.register(
-    _seams.Seam(
-        name="slot-resolver",
-        flag_module="repro.radio.medium",
-        flag_attr="DEFAULT_FAST",
-        fast="repro.radio.medium.Medium.resolve_slot",
-        reference="repro.radio.medium.Medium.resolve_slot_reference",
-        differential_test="tests/test_radio_medium.py",
-        fuzz_leg="fast",
-        description="CSR flat-buffer slot resolution vs the dict reference",
-    )
-)

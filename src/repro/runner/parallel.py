@@ -928,7 +928,7 @@ def probe_batch(
 
 # -- chaos injection points ----------------------------------------------------
 # Registered at module bottom, after the hooks they describe exist — the
-# same self-registration idiom as the repro.seams.Seam sites. These are
+# same self-registration idiom as repro.scenario.registries. These are
 # the compute substrate's fault surfaces; repro chaos enumerates them to
 # prove every injectable kind has a recovery path under test.
 

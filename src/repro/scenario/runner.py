@@ -4,7 +4,9 @@
 adversary behavior through the name registries, assembles budgets and
 the round driver, runs to quiescence, and returns a
 :class:`~repro.runner.report.BroadcastReport` whose bytes the
-golden-table suite pins.
+golden-table suite pins. Its ``tier`` argument (:class:`repro.seams.Tier`)
+chooses between the fast paths and their reference twins for that one
+call; every tier produces the same report.
 
 :func:`run_summary` projects the live report onto the flat, picklable
 :class:`ScenarioOutcome` so spec sweeps can ride
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import repro.radio.mac as mac
-import repro.radio.medium as medium_mod
 from repro.analysis.verify import collect_costs, collect_outcome
 from repro.errors import ConfigurationError
 from repro.network.grid import Grid
@@ -32,60 +33,51 @@ from repro.runner.parallel import ProcessLocalCache
 from repro.runner.report import BroadcastReport, format_table
 from repro.scenario.registries import BehaviorContext, BuildContext, behaviors, protocols
 from repro.scenario.spec import ScenarioSpec
+from repro.seams import Tier
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.types import NodeId
 
-#: Share warm Grid/TdmaSchedule/Medium instances across the scenario
-#: runs of one process (sweep workers build each grid once). Tests
-#: monkeypatch this off to measure/verify the cold path.
-DEFAULT_WARM_WORLD = True
-
+#: Warm Grid/TdmaSchedule/Medium/NodeTable instances shared across the
+#: scenario runs of one process (sweep workers build each grid once).
 _GRIDS = ProcessLocalCache(limit=8)
 _MEDIA = ProcessLocalCache(limit=8)
 _TABLES = ProcessLocalCache(limit=16)
 
 
 def _world_for(spec: ScenarioSpec):
-    """(grid, schedule, medium) for a spec — warm-cached when enabled.
+    """(grid, schedule, medium) for a spec, warm-cached per process.
 
-    The medium cache key includes the (monkeypatchable) medium class and
-    the resolved fast flag so recording/reference test setups never
-    receive a stale instance; sharing the slot/round memos across runs
-    of one grid is sound because delivery resolution depends only on the
-    grid and the transmissions, never on placement or protocol state.
+    The medium cache key includes the (monkeypatchable) medium class so
+    recording test setups never receive a stale instance; sharing the
+    slot/round memos across runs of one grid is sound because delivery
+    resolution depends only on the grid and the transmissions, never on
+    placement or protocol state.
     """
     medium_cls = mac.Medium
-    fast = medium_mod.DEFAULT_FAST
-    if not DEFAULT_WARM_WORLD:
-        grid = Grid(spec.grid)
-        return grid, TdmaSchedule(grid), medium_cls(grid)
     grid, schedule = _GRIDS.get_or_build(
         spec.grid, lambda: (g := Grid(spec.grid), TdmaSchedule(g))
     )
-    medium = _MEDIA.get_or_build(
-        (spec.grid, medium_cls, fast), lambda: medium_cls(grid)
-    )
+    medium = _MEDIA.get_or_build((spec.grid, medium_cls), lambda: medium_cls(grid))
     return grid, schedule, medium
 
 
+def _build_table(spec: ScenarioSpec, grid: Grid, source: NodeId) -> NodeTable:
+    """The spec's role table, built fresh and locally validated."""
+    table = NodeTable(grid, source, spec.placement.bad_ids(grid, source))
+    if spec.validate_local_bound:
+        table.validate_locally_bounded(spec.t)
+    return table
+
+
 def _table_for(spec: ScenarioSpec, grid: Grid, source: NodeId) -> NodeTable:
-    """The spec's role table — warm-cached when enabled.
+    """The spec's role table, warm-cached per process.
 
     Sound to share because a :class:`NodeTable` is immutable after
     construction and placements are deterministic in ``(grid, source)``;
     the key carries everything validation depends on. Unhashable custom
     placements simply rebuild every run.
     """
-
-    def build() -> NodeTable:
-        table = NodeTable(grid, source, spec.placement.bad_ids(grid, source))
-        if spec.validate_local_bound:
-            table.validate_locally_bounded(spec.t)
-        return table
-
-    if not DEFAULT_WARM_WORLD:
-        return build()
     try:
         key = (
             spec.grid,
@@ -96,8 +88,8 @@ def _table_for(spec: ScenarioSpec, grid: Grid, source: NodeId) -> NodeTable:
         )
         hash(key)
     except TypeError:
-        return build()
-    return _TABLES.get_or_build(key, build)
+        return _build_table(spec, grid, source)
+    return _TABLES.get_or_build(key, lambda: _build_table(spec, grid, source))
 
 
 def validate(spec: ScenarioSpec) -> Grid:
@@ -129,38 +121,54 @@ def validate(spec: ScenarioSpec) -> Grid:
 def run(
     spec: ScenarioSpec,
     *,
+    tier: Tier = Tier.VECTOR,
     tracer: Tracer = NULL_TRACER,
     adversary_override: Callable[[Grid, NodeTable, BudgetLedger], object] | None = None,
 ) -> BroadcastReport:
     """Run one scenario to quiescence and return its ``BroadcastReport``.
 
-    ``tracer`` and ``adversary_override`` are run-time extras precisely
-    because they are not serializable scenario *content*: the override is
-    an escape hatch for ad-hoc adversaries and takes precedence over
-    ``spec.behavior``.
+    ``tier`` picks the implementations (see :mod:`repro.seams`):
+    ``REFERENCE`` builds a cold world and runs every reference twin,
+    ``FAST`` uses the warm world, the batched round loop and the flat
+    engines, and ``VECTOR`` also tries the NumPy whole-grid kernel. The
+    report is the same at every tier. A traced run always runs at
+    ``REFERENCE``, the one tier that emits per-delivery events.
+
+    ``tier``, ``tracer`` and ``adversary_override`` are run-time extras
+    precisely because they are not serializable scenario *content*: the
+    override is an escape hatch for ad-hoc adversaries and takes
+    precedence over ``spec.behavior``.
     """
+    if tracer.enabled:
+        tier = Tier.REFERENCE
+    fast = tier is not Tier.REFERENCE
     protocol = protocols.get(spec.protocol)
-    grid, schedule, medium = _world_for(spec)
+    if fast:
+        grid, schedule, medium = _world_for(spec)
+    else:
+        grid = Grid(spec.grid, fast=False)
+        schedule = TdmaSchedule(grid)
+        medium = mac.Medium(grid, fast=False)
     source = grid.id_of(spec.source)
-    table = _table_for(spec, grid, source)
+    table = (_table_for if fast else _build_table)(spec, grid, source)
     params = BroadcastParams(r=spec.grid.r, t=spec.t, mf=spec.mf, vtrue=spec.vtrue)
 
     # Whole-grid NumPy kernel: engages only for runs it can reproduce
-    # bit-for-bit (threshold protocol, inert adversary, no tracing — see
+    # bit-for-bit (threshold protocol, inert adversary — see
     # repro.protocols.vectorized); everything else falls through to the
     # per-node assembly below untouched.
-    vector_report = vectorized.try_vector_run(
-        spec,
-        protocol,
-        grid,
-        table,
-        source,
-        params,
-        tracer=tracer,
-        adversary_override=adversary_override,
-    )
-    if vector_report is not None:
-        return vector_report
+    if tier is Tier.VECTOR:
+        vector_report = vectorized.try_vector_run(
+            spec,
+            protocol,
+            grid,
+            table,
+            source,
+            params,
+            adversary_override=adversary_override,
+        )
+        if vector_report is not None:
+            return vector_report
 
     build = protocol.build(
         BuildContext(spec=spec, grid=grid, table=table, source=source, params=params)
@@ -193,13 +201,10 @@ def run(
     if callable(binder):
         binder(build.nodes)
 
-    # The flat engine only makes sense when the fast round loop will
-    # consume it (tracing and reference-mode runs distribute through the
-    # nodes themselves, which must then stay canonical).
+    # Reference runs distribute through the nodes themselves, which must
+    # then stay canonical; the flat engine rides the batched round loop.
     engine = (
-        flat.build_flat_engine(build.nodes, grid.n, params, source)
-        if flat.DEFAULT_FLAT and mac.DEFAULT_FAST_DRIVER and not tracer.enabled
-        else None
+        flat.build_flat_engine(build.nodes, grid.n, params, source) if fast else None
     )
     if engine is not None:
         bits_binder = getattr(adversary, "bind_decided_bits", None)
@@ -217,6 +222,7 @@ def run(
         medium=medium,
         schedule=schedule,
         engine=engine,
+        fast=fast,
     )
     max_rounds = spec.max_rounds if spec.max_rounds is not None else build.max_rounds
     stats = driver.run(RunLimits(max_rounds=max_rounds))
@@ -303,19 +309,3 @@ def outcome_table(
         title=title,
     )
 
-
-from repro import seams as _seams  # noqa: E402
-
-_seams.register(
-    _seams.Seam(
-        name="warm-world",
-        flag_module="repro.scenario.runner",
-        flag_attr="DEFAULT_WARM_WORLD",
-        fast="repro.scenario.runner._world_for",
-        reference="repro.network.grid.Grid",
-        differential_test="tests/test_scenario_fastpath.py",
-        fuzz_leg="fast",
-        description="process-local warm Grid/Medium/NodeTable reuse vs a "
-        "cold world per run",
-    )
-)

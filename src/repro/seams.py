@@ -1,170 +1,138 @@
-"""Runtime registry of fast/reference implementation seams.
+"""Fast/reference implementation seams and the tier that selects them.
 
-Every performance PR in this repository follows the same contract: the
-optimized path keeps its historical implementation alive as a *reference
-twin*, selected by a module-level boolean flag (``DEFAULT_FAST``,
-``DEFAULT_FLAT``, ...), and a differential test suite pins the two
-byte-identical. That contract used to live only in prose (ROADMAP
-"Standing rules") and in a hard-coded flag list inside
-:mod:`repro.fuzz.runner`. This module makes it a first-class runtime
-object: each seam-owning module registers a :class:`Seam` record at its
-bottom (the same self-registration idiom as
-:mod:`repro.scenario.registries`), and
+Every fast path in this repository keeps its historical implementation
+alive as a *reference twin*, and a differential test pins the two
+byte-identical. Which side a run takes is a value, not a process-global
+switch: :class:`Tier`, passed per call as
+``repro.scenario.run(spec, tier=...)``.
 
-- :mod:`repro.fuzz` flips *registered* seams — a new fast path is fuzzed
-  differentially the moment it registers, and a seam that registers
-  without declaring a fuzz leg fails the next fuzz run loudly;
-- the static analyzer (``python -m repro check``) verifies every
-  module defining a ``DEFAULT_*`` engine flag registers a seam (RPR101)
-  and that each registered seam's differential test exists (RPR102).
+- ``Tier.REFERENCE`` runs every twin: a cold world (python grid build,
+  dict slot resolver, fresh role table), the per-delivery round loop and
+  the per-node protocol state. A traced run always takes this tier.
+- ``Tier.FAST`` runs the fast side of every ``FAST`` seam below.
+- ``Tier.VECTOR`` (the default) adds the NumPy whole-grid kernel for the
+  runs it can reproduce bit-for-bit.
+
+:data:`SEAMS` lists each pair once, with the lowest tier that uses its
+fast side. :mod:`repro.fuzz` runs every sampled case at each tier
+(``VECTOR`` when NumPy is installed) and compares the reports; the
+static analyzer (``python -m repro check``) verifies that no
+module-level boolean switch comes back (RPR101), that every seam's
+differential test exists and names it (RPR102), and that every seam's
+tier is ``FAST`` or ``VECTOR`` (RPR103).
 
 This module is deliberately a leaf (stdlib + :mod:`repro.errors` only)
-so seam sites can import it without cycles.
+so every layer can import it without cycles.
 """
 
 from __future__ import annotations
 
+import enum
 import importlib
 from dataclasses import dataclass
-from typing import Any, Iterator
 
 from repro.errors import ConfigurationError
 
-#: The fuzz legs a seam may declare. ``"fast"`` seams are switched on in
-#: the fast leg and off in the reference leg of a differential run;
-#: ``"vector"`` seams only engage in the third, vectorized leg (and stay
-#: off in plain fast mode so the layer beneath them remains under test).
-FUZZ_LEGS = ("fast", "vector")
+
+class Tier(enum.Enum):
+    """How much of the fast machinery one run may use."""
+
+    REFERENCE = "reference"
+    FAST = "fast"
+    VECTOR = "vector"
 
 
 @dataclass(frozen=True)
 class Seam:
-    """One fast/reference implementation pair behind a boolean flag.
+    """One fast/reference implementation pair.
 
     Attributes:
-        name: stable registry key (``"slot-resolver"``).
-        flag_module: dotted module owning the selection flag.
-        flag_attr: the module-level boolean attribute (``"DEFAULT_FAST"``).
+        name: stable key (``"slot-resolver"``).
+        tier: the lowest tier that runs the fast side; ``REFERENCE``
+            always runs the twin, so a seam's tier is ``FAST`` or
+            ``VECTOR``.
         fast: dotted path of the optimized implementation.
         reference: dotted path of its byte-identical reference twin.
         differential_test: repo-relative test file pinning the pair
             (the static analyzer verifies it exists and names the seam).
-        fuzz_leg: ``"fast"`` or ``"vector"`` — how :mod:`repro.fuzz`
-            drives this seam. ``None`` means "not wired into fuzz yet",
-            which the fuzz runner treats as a hard error: a seam must
-            not exist outside the differential net.
         description: one line for humans.
     """
 
     name: str
-    flag_module: str
-    flag_attr: str
+    tier: Tier
     fast: str
     reference: str
     differential_test: str
-    fuzz_leg: str | None = "fast"
     description: str = ""
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "name",
-            "flag_module",
-            "flag_attr",
-            "fast",
-            "reference",
-            "differential_test",
-        ):
+        for field_name in ("name", "fast", "reference", "differential_test"):
             if not getattr(self, field_name):
                 raise ConfigurationError(
                     f"seam field {field_name!r} must be non-empty"
                 )
-        if self.fuzz_leg is not None and self.fuzz_leg not in FUZZ_LEGS:
+        if self.tier not in (Tier.FAST, Tier.VECTOR):
             raise ConfigurationError(
-                f"seam {self.name!r} declares unknown fuzz leg "
-                f"{self.fuzz_leg!r}; known: {', '.join(FUZZ_LEGS)}"
+                f"seam {self.name!r} runs its fast side at tier "
+                f"{self.tier!r}; it must be Tier.FAST or Tier.VECTOR so a "
+                "Tier.REFERENCE run exercises the reference twin"
             )
 
-    def resolve_flag_module(self) -> Any:
-        """Import and return the module holding this seam's flag.
 
-        Fails with a self-describing error when the flag attribute has
-        been renamed out from under the registration.
-        """
-        module = importlib.import_module(self.flag_module)
-        if not hasattr(module, self.flag_attr):
-            raise ConfigurationError(
-                f"seam {self.name!r} points at "
-                f"{self.flag_module}.{self.flag_attr}, which does not exist"
-            )
-        return module
-
-    def current(self) -> bool:
-        """The flag's current value."""
-        return bool(getattr(self.resolve_flag_module(), self.flag_attr))
-
-
-_SEAMS: dict[str, Seam] = {}
-
-
-def register(seam: Seam) -> Seam:
-    """Register a seam; duplicate names are rejected."""
-    if seam.name in _SEAMS:
-        raise ConfigurationError(f"seam {seam.name!r} is already registered")
-    _SEAMS[seam.name] = seam
-    return seam
-
-
-def get(name: str) -> Seam:
-    """Look a seam up; unknown names fail with the known set."""
-    try:
-        return _SEAMS[name]
-    except KeyError:
-        known = ", ".join(sorted(_SEAMS)) or "(none)"
-        raise ConfigurationError(
-            f"unknown seam {name!r}; registered: {known}"
-        ) from None
-
-
-def unregister(name: str) -> Seam:
-    """Remove and return a registered seam (test doubles only)."""
-    try:
-        return _SEAMS.pop(name)
-    except KeyError:
-        raise ConfigurationError(f"seam {name!r} is not registered") from None
-
-
-def names() -> tuple[str, ...]:
-    return tuple(sorted(_SEAMS))
-
-
-def all_seams() -> tuple[Seam, ...]:
-    """Every registered seam, in stable (name-sorted) order.
-
-    Callers that need the full set must import the seam-site modules
-    first; :func:`load_seam_sites` does exactly that.
-    """
-    return tuple(_SEAMS[name] for name in sorted(_SEAMS))
-
-
-#: The modules that register seams at import time. Kept as data so both
-#: the fuzz runner and the tests can force full registration without
-#: hard-coding import lists of their own.
-SEAM_SITE_MODULES = (
-    "repro.network.grid",
-    "repro.radio.medium",
-    "repro.radio.mac",
-    "repro.protocols.flat",
-    "repro.protocols.vectorized",
-    "repro.scenario.runner",
-    "repro.serve.service",
+#: Every seam the tree ships, in name order.
+SEAMS = (
+    Seam(
+        name="flat-engines",
+        tier=Tier.FAST,
+        fast="repro.protocols.flat.FlatThresholdEngine",
+        reference="repro.protocols.base.BroadcastNode.on_receive",
+        differential_test="tests/test_scenario_fastpath.py",
+        description="flat array protocol engines vs per-node objects",
+    ),
+    Seam(
+        name="grid-build",
+        tier=Tier.FAST,
+        fast="repro.network.grid.Grid._build_neighbors_numpy",
+        reference="repro.network.grid.Grid._build_neighbors",
+        differential_test="tests/test_vectorized.py",
+        description="NumPy CSR neighbor-table build vs the python build",
+    ),
+    Seam(
+        name="round-driver",
+        tier=Tier.FAST,
+        fast="repro.radio.mac.RoundDriver._run_round_fast",
+        reference="repro.radio.mac.RoundDriver._run_round_reference",
+        differential_test="tests/test_scenario_fastpath.py",
+        description="batched round loop (burst dedup, whole-round memo) "
+        "vs the per-delivery reference loop",
+    ),
+    Seam(
+        name="slot-resolver",
+        tier=Tier.FAST,
+        fast="repro.radio.medium.Medium.resolve_slot",
+        reference="repro.radio.medium.Medium.resolve_slot_reference",
+        differential_test="tests/test_radio_medium.py",
+        description="CSR flat-buffer slot resolution vs the dict reference",
+    ),
+    Seam(
+        name="vector-kernel",
+        tier=Tier.VECTOR,
+        fast="repro.protocols.vectorized.try_vector_run",
+        reference="repro.protocols.flat.FlatThresholdEngine",
+        differential_test="tests/test_vectorized.py",
+        description="NumPy whole-grid round kernel vs the flat/reference "
+        "engines",
+    ),
+    Seam(
+        name="warm-world",
+        tier=Tier.FAST,
+        fast="repro.scenario.runner._world_for",
+        reference="repro.network.grid.Grid",
+        differential_test="tests/test_scenario_fastpath.py",
+        description="process-local warm Grid/Medium/NodeTable reuse vs a "
+        "cold world per run",
+    ),
 )
-
-
-def load_seam_sites() -> tuple[Seam, ...]:
-    """Import every known seam site, then return all registered seams."""
-    for module in SEAM_SITE_MODULES:
-        importlib.import_module(module)
-    return all_seams()
 
 
 # -- chaos injection points ----------------------------------------------------
@@ -188,8 +156,8 @@ class ChaosPoint:
     The chaos analogue of :class:`Seam`: where a seam pins a fast path to
     its reference twin, a chaos point pins an infrastructure fault to the
     recovery path that must absorb it byte-identically. Sites register at
-    module bottom (same idiom as seams) so ``repro chaos`` can enumerate
-    coverage without hard-coded lists.
+    module bottom (the idiom of :mod:`repro.scenario.registries`) so
+    ``repro chaos`` can enumerate coverage without hard-coded lists.
 
     Attributes:
         name: stable registry key (``"pool-worker"``).
@@ -266,21 +234,3 @@ def chaos_kinds_covered() -> frozenset[str]:
     for point in load_chaos_sites():
         covered.update(point.kinds)
     return frozenset(covered)
-
-
-def fuzz_flags() -> Iterator[tuple[Seam, Any]]:
-    """(seam, flag module) pairs for the differential fuzz runner.
-
-    Loads the seam sites first, then *fails loudly* on any seam that
-    registered without a fuzz leg: every fast path must be inside the
-    differential net, not next to it.
-    """
-    for seam in load_seam_sites():
-        if seam.fuzz_leg is None:
-            raise ConfigurationError(
-                f"seam {seam.name!r} is registered without a fuzz leg; "
-                "declare fuzz_leg='fast' (flipped between the fast and "
-                "reference runs) or 'vector' (third, vectorized leg) so "
-                "repro.fuzz exercises it differentially"
-            )
-        yield seam, seam.resolve_flag_module()

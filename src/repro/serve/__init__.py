@@ -10,7 +10,6 @@ contract, :mod:`repro.serve.http` for the wire front end, and
 """
 
 from repro.serve.service import (
-    DEFAULT_SERVE_FAST,
     InlinePool,
     LruCache,
     ScenarioService,
@@ -21,7 +20,6 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "DEFAULT_SERVE_FAST",
     "InlinePool",
     "LruCache",
     "ScenarioService",

@@ -34,12 +34,6 @@ every path (compute, dedup share, LRU hit, disk hit). That is the
 repository's determinism standing rule extended to the service boundary,
 and ``tests/test_serve_identity.py`` pins it per bundled preset.
 
-The cache/dedup short-circuit is a fast path that bypasses a reference
-computation, so per the check-clean rules it is a registered
-:class:`repro.seams.Seam` behind :data:`DEFAULT_SERVE_FAST`: with the
-flag off the service computes every request fresh (the reference shape),
-and the differential suite asserts both modes serve identical bytes.
-
 **Fault tolerance.** Infrastructure faults may cost latency, never bytes
 (ROADMAP standing rule): every request is answered under a per-request
 deadline (``504`` with a structured body when exceeded — the shielded
@@ -81,13 +75,6 @@ from repro.scenario.runner import ScenarioOutcome, run_summary
 from repro.scenario.spec import ScenarioSpec
 
 _LOG = logging.getLogger("repro.serve")
-
-#: The service's cache/dedup short-circuit. ``True`` serves repeated
-#: content hashes from the LRU/disk/in-flight layers; ``False`` is the
-#: reference shape — every request is computed fresh by the pool. The
-#: seam registration at the bottom of this module keeps the two
-#: byte-identical under test.
-DEFAULT_SERVE_FAST = True
 
 #: Defaults for the service knobs (also the CLI defaults).
 DEFAULT_LRU_SIZE = 256
@@ -476,26 +463,25 @@ class ScenarioService:
         # NOTE: no ``await`` between here and the in-flight registration
         # below — the dedup guarantee (one compute per key) relies on
         # this whole lookup path being one atomic event-loop step.
-        if DEFAULT_SERVE_FAST:
-            body = self.lru.get(key)
-            if body is not None:
-                self.stats.lru_hits += 1
-                return ServeResult(200, body, scenario=key, source="lru")
-            if self._cache is not None:
-                hit, outcome = self._cache.get(spec)
-                if hit:
-                    body = serialize_outcome(outcome)
-                    self.lru.put(key, body)
-                    self.stats.disk_hits += 1
-                    return ServeResult(200, body, scenario=key, source="disk")
-            pending = self._inflight.get(key)
-            if pending is not None:
-                self.stats.deduped += 1
-                outcome = await self._await_outcome(pending)
-                if outcome is None:
-                    return self._timeout_result(key)
-                verdict, value, src = outcome
-                return self._finish(key, verdict, value, source=src or "dedup")
+        body = self.lru.get(key)
+        if body is not None:
+            self.stats.lru_hits += 1
+            return ServeResult(200, body, scenario=key, source="lru")
+        if self._cache is not None:
+            hit, outcome = self._cache.get(spec)
+            if hit:
+                body = serialize_outcome(outcome)
+                self.lru.put(key, body)
+                self.stats.disk_hits += 1
+                return ServeResult(200, body, scenario=key, source="disk")
+        pending = self._inflight.get(key)
+        if pending is not None:
+            self.stats.deduped += 1
+            outcome = await self._await_outcome(pending)
+            if outcome is None:
+                return self._timeout_result(key)
+            verdict, value, src = outcome
+            return self._finish(key, verdict, value, source=src or "dedup")
         if self._draining:
             self.stats.rejected += 1
             return ServeResult(
@@ -518,8 +504,7 @@ class ScenarioService:
         future: "asyncio.Future[tuple[str, Any, str | None]]" = (
             asyncio.get_running_loop().create_future()
         )
-        if DEFAULT_SERVE_FAST:
-            self._inflight[key] = future
+        self._inflight[key] = future
         self._queue.put_nowait(_Pending(key=key, spec=spec, future=future))
         outcome = await self._await_outcome(future)
         if outcome is None:
@@ -731,18 +716,17 @@ class ScenarioService:
             if verdict == "ok":
                 body = canonical_bytes(payload)
                 self.stats.computed += 1
-                if DEFAULT_SERVE_FAST:
-                    self.lru.put(item.key, body)
-                    if self._cache is not None:
-                        try:
-                            self._cache.put(item.spec, decode_result(payload))
-                        except Exception as exc:
-                            # A failing store must not fail the request.
-                            _LOG.warning(
-                                "result-cache store failed for %s: %s",
-                                item.key[:12],
-                                exc,
-                            )
+                self.lru.put(item.key, body)
+                if self._cache is not None:
+                    try:
+                        self._cache.put(item.spec, decode_result(payload))
+                    except Exception as exc:
+                        # A failing store must not fail the request.
+                        _LOG.warning(
+                            "result-cache store failed for %s: %s",
+                            item.key[:12],
+                            exc,
+                        )
                 self._settle(item, ("ok", body, source))
             else:
                 self._settle(item, (verdict, payload, source))
@@ -799,19 +783,3 @@ class ScenarioService:
         )
         return payload
 
-
-from repro import seams as _seams  # noqa: E402
-
-_seams.register(
-    _seams.Seam(
-        name="serve-cache",
-        flag_module="repro.serve.service",
-        flag_attr="DEFAULT_SERVE_FAST",
-        fast="repro.serve.service.ScenarioService.submit_spec",
-        reference="repro.serve.service.report_bytes",
-        differential_test="tests/test_serve_identity.py",
-        fuzz_leg="fast",
-        description="service LRU/dedup/disk short-circuit vs computing "
-        "every request fresh",
-    )
-)

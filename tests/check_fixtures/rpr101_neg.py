@@ -1,6 +1,9 @@
-"""RPR101 negative: the flag's fast/reference pair registers a Seam."""
+"""RPR101 negative: the implementation is picked per call by a tier."""
 
-DEFAULT_FAST = True
+from repro.seams import Tier
+
+#: Non-boolean defaults are configuration, not implementation switches.
+DEFAULT_LIMIT = 8
 
 
 def fast_impl():
@@ -11,17 +14,5 @@ def reference_impl():
     return 1
 
 
-from repro import seams as _seams  # noqa: E402
-
-_seams.register(
-    _seams.Seam(
-        name="fixmod-seam",
-        flag_module="repro.radio.fixmod",
-        flag_attr="DEFAULT_FAST",
-        fast="repro.radio.fixmod.fast_impl",
-        reference="repro.radio.fixmod.reference_impl",
-        differential_test="tests/test_fixmod.py",
-        fuzz_leg="fast",
-        description="fixture seam",
-    )
-)
+def compute(*, tier=Tier.VECTOR):
+    return reference_impl() if tier is Tier.REFERENCE else fast_impl()

@@ -1,4 +1,4 @@
-"""RPR101 positive: a DEFAULT_* engine flag with no seam registration."""
+"""RPR101 positive: a module-level boolean that picks an implementation."""
 
 DEFAULT_TURBO = True
 

@@ -1,6 +1,6 @@
-"""RPR103 negative: a seam on the vectorized fuzz leg."""
+"""RPR103 negative: a seam at the vector tier."""
 
-DEFAULT_FAST = True
+from repro.seams import Seam, Tier
 
 
 def fast_impl():
@@ -11,17 +11,13 @@ def reference_impl():
     return 1
 
 
-from repro import seams as _seams  # noqa: E402
-
-_seams.register(
-    _seams.Seam(
+FIXMOD_SEAMS = (
+    Seam(
         name="fixmod-seam",
-        flag_module="repro.radio.fixmod",
-        flag_attr="DEFAULT_FAST",
+        tier=Tier.VECTOR,
         fast="repro.radio.fixmod.fast_impl",
         reference="repro.radio.fixmod.reference_impl",
         differential_test="tests/test_fixmod.py",
-        fuzz_leg="vector",
         description="fixture seam",
-    )
+    ),
 )

@@ -30,9 +30,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "check_fixtures"
 
 #: rule id -> destination of its fixture inside the throwaway project.
-#: Determinism rules only fire inside the engine dirs; seam rules parse
-#: the module path into ``flag_module``, so placement is part of the
-#: fixture contract.
+#: Determinism rules only fire inside the engine dirs and the RPR102
+#: companion test names ``repro.radio.fixmod``, so placement is part of
+#: the fixture contract.
 DESTINATIONS = {
     "RPR001": "src/repro/sim/fixture_mod.py",
     "RPR002": "src/repro/sim/fixture_mod.py",

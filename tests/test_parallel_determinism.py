@@ -13,7 +13,6 @@ delivery list must be byte-for-byte equal.
 import pytest
 
 import repro.radio.mac as mac
-import repro.radio.medium as medium_mod
 from repro.experiments.e1_impossibility import run_impossibility
 from repro.experiments.e2_figure2 import (
     DEFAULT_SWEEP_POINTS,
@@ -27,6 +26,7 @@ from repro.network.grid import Grid, GridSpec
 from repro.radio.medium import Medium
 from repro.scenario import ScenarioSpec
 from repro.scenario import run as run_spec
+from repro.seams import Tier
 from repro.adversary.placement import RandomPlacement
 
 
@@ -153,9 +153,9 @@ class TestFastPathScenarioEquivalence:
         )
         self._assert_equivalent(recorded)
 
-    def test_whole_run_reference_path_matches_fast_path(self, monkeypatch):
-        # Flip the process-wide default and re-run a full scenario: the
-        # end-to-end report must not change in any observable way.
+    def test_whole_run_reference_path_matches_fast_path(self):
+        # Re-run a full scenario at the reference tier: the end-to-end
+        # report must not change in any observable way.
         spec = ScenarioSpec(
             grid=GridSpec(width=12, height=12, r=1, torus=True),
             t=1,
@@ -166,8 +166,7 @@ class TestFastPathScenarioEquivalence:
             seed=5,
         )
         fast_report = run_spec(spec)
-        monkeypatch.setattr(medium_mod, "DEFAULT_FAST", False)
-        slow_report = run_spec(spec)
+        slow_report = run_spec(spec, tier=Tier.REFERENCE)
         assert fast_report.outcome == slow_report.outcome
         assert fast_report.costs == slow_report.costs
         assert fast_report.stats == slow_report.stats

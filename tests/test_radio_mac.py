@@ -9,6 +9,7 @@ from repro.network.node import NodeTable
 from repro.radio.budget import BudgetLedger
 from repro.radio.mac import RoundDriver, RunLimits
 from repro.radio.messages import BadTransmission, MessageKind, Transmission
+from repro.sim.trace import Tracer
 
 
 class RecorderNode:
@@ -161,3 +162,42 @@ def test_stats_per_kind():
     stats = driver.run(RunLimits(max_rounds=10))
     assert stats.per_kind_honest[MessageKind.DATA] == 2
     assert stats.per_kind_honest[MessageKind.NACK] == 0
+
+
+def test_traced_driver_needs_the_reference_loop():
+    # The batched loop emits no radio.deliver events; a traced driver
+    # that asked for it must fail loudly, never trace silently less.
+    grid = Grid(GridSpec(12, 12, r=1, torus=True))
+    table = NodeTable(grid, source=0, bad=set())
+    nodes = {nid: RecorderNode(nid) for nid in table.good_ids}
+    ledger = BudgetLedger(grid.n, default_budget=None)
+    with pytest.raises(ConfigurationError, match="fast=False"):
+        RoundDriver(
+            grid, table, nodes, NullAdversary(), ledger, tracer=Tracer(True)
+        )
+
+
+def test_traced_reference_driver_emits_every_delivery():
+    grid = Grid(GridSpec(12, 12, r=1, torus=True))
+    table = NodeTable(grid, source=0, bad=set())
+    nodes = {
+        nid: RecorderNode(nid, sends=2 if nid in (0, 77) else 0)
+        for nid in table.good_ids
+    }
+    ledger = BudgetLedger(grid.n, default_budget=None)
+    tracer = Tracer(True)
+    driver = RoundDriver(
+        grid, table, nodes, NullAdversary(), ledger, tracer=tracer, fast=False
+    )
+    stats = driver.run(RunLimits(max_rounds=10))
+    events = tracer.of_kind("radio.deliver")
+    assert len(events) == stats.deliveries > 0
+    heard = sorted(
+        (event.data["receiver"], event.data["sender"]) for event in events
+    )
+    received = sorted(
+        (nid, sender)
+        for nid, node in nodes.items()
+        for sender, _value, _kind in node.received
+    )
+    assert heard == received

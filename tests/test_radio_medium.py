@@ -235,18 +235,19 @@ class TestFastPathEquivalence:
             )
 
     def test_reference_twin_and_seam_registration(self):
-        # The seam contract: DEFAULT_FAST selects between resolve_slot's
-        # fast body and resolve_slot_reference, the pair is registered in
-        # repro.seams, and calling the reference twin directly matches
-        # the fast resolver on identical input.
-        import repro.radio.medium as medium_mod
-        from repro import seams
+        # The seam contract: Medium(fast=...) selects between
+        # resolve_slot's fast body and resolve_slot_reference, the pair is
+        # listed in repro.seams.SEAMS at Tier.FAST, and calling the
+        # reference twin directly matches the fast resolver on identical
+        # input.
+        from repro.seams import SEAMS, Tier
 
-        assert medium_mod.DEFAULT_FAST  # fast path is the shipped default
-        seam = seams.get("slot-resolver")
-        assert seam.flag_attr == "DEFAULT_FAST"
-        assert seam.fuzz_leg == "fast"
+        seam = next(seam for seam in SEAMS if seam.name == "slot-resolver")
+        assert seam.tier is Tier.FAST
+        assert seam.reference.endswith("Medium.resolve_slot_reference")
         grid = Grid(GridSpec(12, 12, r=1, torus=True))
+        assert Medium(grid).fast  # fast path is the shipped default
+        assert not Medium(grid, fast=False).fast
         medium = Medium(grid, fast=True)
         honest = [Transmission(grid.id_of((5, 5)), 1)]
         byzantine = [BadTransmission(grid.id_of((6, 6)), 0)]

@@ -1,12 +1,12 @@
 """Equivalence suite for the end-to-end scenario fast path.
 
-The referee for this PR's optimizations: whole scenarios run with every
-fast-path feature disabled (reference round loop, per-node protocol
-state, cold world per run) and enabled (batched driver + burst dedup +
+The referee for the fast paths: whole scenarios run at
+``Tier.REFERENCE`` (reference round loop, per-node protocol state, cold
+world per run) and at ``Tier.FAST`` (batched driver + burst dedup +
 whole-round memo, flat engines, warm world), and the resulting reports
 must be identical in every observable — outcome, costs, stats, and the
 per-node state the reference implementations maintain (``value_counts``
-/ ``received_total`` / ``endorsements``). Same pattern as the PR-2
+/ ``received_total`` / ``endorsements``). Same pattern as the
 recorded-traffic suite for ``resolve_slot_reference``.
 
 The base scenario comes from ``tests/strategies.py`` and report equality
@@ -14,17 +14,19 @@ is asserted through :func:`repro.fuzz.compare_reports` — the same
 comparator the fuzz subsystem applies to sampled scenarios.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-import repro.protocols.flat as flat
 import repro.protocols.vectorized as vectorized
-import repro.radio.mac as mac
 import repro.scenario.runner as runner_mod
 from repro.adversary.placement import RandomPlacement, StripePlacement
 from repro.fuzz import compare_reports
 from repro.network.grid import GridSpec
 from repro.scenario import ScenarioSpec, run
+from repro.seams import Tier
 from strategies import equivalence_spec as _spec, vector_candidate_specs
 
 needs_numpy = pytest.mark.skipif(
@@ -32,29 +34,19 @@ needs_numpy = pytest.mark.skipif(
 )
 
 
-def _set_fast(monkeypatch, enabled: bool) -> None:
-    monkeypatch.setattr(mac, "DEFAULT_FAST_DRIVER", enabled)
-    monkeypatch.setattr(flat, "DEFAULT_FLAT", enabled)
-    monkeypatch.setattr(runner_mod, "DEFAULT_WARM_WORLD", enabled)
-    # This suite referees the flat engines and the batched driver; the
-    # vectorized kernel has its own triple suite below and would
-    # otherwise shadow the machinery under test for eligible scenarios.
-    monkeypatch.setattr(vectorized, "DEFAULT_VECTOR", False)
-
-
-def _run_both(monkeypatch, spec):
-    _set_fast(monkeypatch, True)
-    fast = run(spec)
-    _set_fast(monkeypatch, False)
-    reference = run(spec)
-    return fast, reference
+def _run_both(spec):
+    # This suite referees the flat engines and the batched driver, so it
+    # runs at Tier.FAST: the vectorized kernel has its own triple suite
+    # below and would otherwise shadow the machinery under test for
+    # eligible scenarios.
+    return run(spec, tier=Tier.FAST), run(spec, tier=Tier.REFERENCE)
 
 
 def _run_triple(spec):
     """(vector, flat, reference) reports of one spec.
 
-    Flag handling goes through the fuzz runner's mode switcher — the
-    same seam ``repro fuzz`` uses — so property cases here and sampled
+    Tier selection goes through the fuzz runner's mode switcher — the
+    same one ``repro fuzz`` uses — so property cases here and sampled
     fuzz cases exercise identical machinery.
     """
     from repro.fuzz.runner import _run_mode
@@ -72,34 +64,34 @@ def _assert_reports_identical(fast, reference):
 class TestFlatEngineAndDriverEquivalence:
     """Reference vs fast whole-run equality across protocol/behavior mixes."""
 
-    def test_threshold_jam(self, monkeypatch):
+    def test_threshold_jam(self):
         # Stateful-observe adversary: no burst dedup, eager flushes.
-        fast, reference = _run_both(monkeypatch, _spec(behavior="jam"))
+        fast, reference = _run_both(_spec(behavior="jam"))
         _assert_reports_identical(fast, reference)
 
-    def test_threshold_lie(self, monkeypatch):
+    def test_threshold_lie(self):
         # Spontaneous observe-stateless adversary: dedup with observe off.
-        fast, reference = _run_both(monkeypatch, _spec(behavior="lie", mf=3))
+        fast, reference = _run_both(_spec(behavior="lie", mf=3))
         _assert_reports_identical(fast, reference)
 
-    def test_threshold_crash_faults(self, monkeypatch):
+    def test_threshold_crash_faults(self):
         # NullAdversary with budget: consulted but never transmits.
-        fast, reference = _run_both(monkeypatch, _spec(behavior="none"))
+        fast, reference = _run_both(_spec(behavior="none"))
         _assert_reports_identical(fast, reference)
 
-    def test_cpa_spoof(self, monkeypatch):
+    def test_cpa_spoof(self):
         # Flat CPA engine (packed seen-set) under forged endorsements.
         spec = _spec(protocol="cpa", behavior="spoof", m=3, batch_per_slot=1)
-        fast, reference = _run_both(monkeypatch, spec)
+        fast, reference = _run_both(spec)
         _assert_reports_identical(fast, reference)
 
-    def test_koo_jam(self, monkeypatch):
+    def test_koo_jam(self):
         fast, reference = _run_both(
-            monkeypatch, _spec(protocol="koo", m=None, behavior="jam")
+            _spec(protocol="koo", m=None, behavior="jam")
         )
         _assert_reports_identical(fast, reference)
 
-    def test_reactive_coded(self, monkeypatch):
+    def test_reactive_coded(self):
         # Queue-based nodes: no flat engine, head-stable peeks only.
         spec = ScenarioSpec(
             grid=GridSpec(width=12, height=12, r=1, torus=True),
@@ -110,10 +102,10 @@ class TestFlatEngineAndDriverEquivalence:
             protocol="reactive",
             seed=3,
         )
-        fast, reference = _run_both(monkeypatch, spec)
+        fast, reference = _run_both(spec)
         _assert_reports_identical(fast, reference)
 
-    def test_reactive_coded_batched_slots(self, monkeypatch):
+    def test_reactive_coded_batched_slots(self):
         # batch_per_slot > 1 with an active jammer: a drained slot owner
         # can be re-armed mid-slot by a jam-induced NACK, so the driver
         # must keep eager flushes and full per-burst owner re-scans
@@ -130,10 +122,10 @@ class TestFlatEngineAndDriverEquivalence:
                 seed=seed,
                 batch_per_slot=3,
             )
-            fast, reference = _run_both(monkeypatch, spec)
+            fast, reference = _run_both(spec)
             _assert_reports_identical(fast, reference)
 
-    def test_stripe_protected_band(self, monkeypatch):
+    def test_stripe_protected_band(self):
         spec = _spec(
             t=2,
             mf=2,
@@ -141,42 +133,41 @@ class TestFlatEngineAndDriverEquivalence:
             placement=StripePlacement(y0=4, t=2),
             batch_per_slot=3,
         )
-        fast, reference = _run_both(monkeypatch, spec)
+        fast, reference = _run_both(spec)
         _assert_reports_identical(fast, reference)
 
     @pytest.mark.slow
-    def test_figure2_paper_instance(self, monkeypatch):
+    def test_figure2_paper_instance(self):
         # The headline workload: 2001-burst source phase, planned
         # defense, burst dedup with multiplicity through the flat engine.
         from repro.experiments.e2_figure2 import paper_spec
 
-        fast, reference = _run_both(monkeypatch, paper_spec())
+        fast, reference = _run_both(paper_spec())
         _assert_reports_identical(fast, reference)
 
 
 class TestRoundMemoEquivalence:
     """The whole-round memo path (adversary out of budget) is exact."""
 
-    def test_broke_adversary_replays_rounds(self, monkeypatch):
+    def test_broke_adversary_replays_rounds(self):
         # mf=0: the adversary is inactive from round one, so every round
         # runs through the predictable path and repeated rounds replay
         # from the medium's round memo.
         spec = _spec(mf=0, behavior="jam", m=6)
-        fast, reference = _run_both(monkeypatch, spec)
+        fast, reference = _run_both(spec)
         _assert_reports_identical(fast, reference)
 
-    def test_round_memo_actually_hit(self, monkeypatch):
-        _set_fast(monkeypatch, True)
+    def test_round_memo_actually_hit(self):
         runner_mod._MEDIA.clear()
         runner_mod._GRIDS.clear()
         spec = _spec(mf=0, behavior="jam", m=6)
-        report = run(spec)
+        report = run(spec, tier=Tier.FAST)
         assert report.stats.rounds > 1
         # The warm medium of this grid now carries memoized rounds.
         medium = runner_mod._world_for(spec)[2]
         assert medium._round_memo
 
-    def test_reactive_quiet_window_survives_silent_rounds(self, monkeypatch):
+    def test_reactive_quiet_window_survives_silent_rounds(self):
         # Silent predictable rounds must still run on_round_end (the
         # reactive quiet-window countdown is driven by it).
         spec = ScenarioSpec(
@@ -188,51 +179,59 @@ class TestRoundMemoEquivalence:
             protocol="reactive",
             seed=1,
         )
-        fast, reference = _run_both(monkeypatch, spec)
+        fast, reference = _run_both(spec)
         _assert_reports_identical(fast, reference)
 
 
 class TestWarmWorld:
     """Per-process Grid/Medium sharing across runs of one grid shape."""
 
-    def test_grid_and_medium_shared_across_runs(self, monkeypatch):
-        _set_fast(monkeypatch, True)
+    def test_grid_and_medium_shared_across_runs(self):
         runner_mod._GRIDS.clear()
         runner_mod._MEDIA.clear()
         spec = _spec()
-        first = run(spec)
-        second = run(spec)
+        first = run(spec, tier=Tier.FAST)
+        second = run(spec, tier=Tier.FAST)
         assert first.grid is second.grid  # one CSR build per process
         assert first.outcome == second.outcome
         assert first.costs == second.costs
         assert first.stats == second.stats
 
     def test_warm_medium_respects_reference_mode(self, monkeypatch):
-        # Flipping medium.DEFAULT_FAST must never serve a fast-mode
-        # Medium from the warm cache (the key carries the flag).
-        import repro.radio.medium as medium_mod
+        # A reference run never reads or fills the warm caches, so it
+        # can never be served a fast Medium (or hand one to a fast run).
+        import repro.radio.mac as mac
 
-        _set_fast(monkeypatch, True)
-        spec = _spec()
-        fast_medium = runner_mod._world_for(spec)[2]
-        monkeypatch.setattr(medium_mod, "DEFAULT_FAST", False)
-        slow_medium = runner_mod._world_for(spec)[2]
-        assert fast_medium is not slow_medium
-        assert fast_medium.fast and not slow_medium.fast
+        built = []
 
-    def test_cold_mode_builds_fresh_world(self, monkeypatch):
-        _set_fast(monkeypatch, True)
+        class Recording(mac.Medium):
+            def __init__(self, grid, *, fast=True):
+                super().__init__(grid, fast=fast)
+                built.append(self)
+
+        monkeypatch.setattr(mac, "Medium", Recording)
+        runner_mod._GRIDS.clear()
+        runner_mod._MEDIA.clear()
         spec = _spec()
-        warm = runner_mod._world_for(spec)[0]
-        monkeypatch.setattr(runner_mod, "DEFAULT_WARM_WORLD", False)
-        cold = runner_mod._world_for(spec)[0]
-        assert warm is not cold
+        run(spec, tier=Tier.REFERENCE)
+        assert len(runner_mod._GRIDS) == 0 and len(runner_mod._MEDIA) == 0
+        run(spec, tier=Tier.FAST)
+        assert [medium.fast for medium in built] == [False, True]
+        assert runner_mod._world_for(spec)[2] is built[1]
+
+    def test_cold_mode_builds_fresh_world(self):
+        spec = _spec()
+        warm = run(spec, tier=Tier.FAST).grid
+        cold = run(spec, tier=Tier.REFERENCE).grid
+        assert warm is runner_mod._world_for(spec)[0]
+        assert cold is not warm
+        assert run(spec, tier=Tier.REFERENCE).grid is not cold
 
 
 class TestAdversaryBudgetGating:
     """Once no bad node can afford a message, on_slot is never consulted."""
 
-    def test_broke_adversary_not_consulted_but_run_identical(self, monkeypatch):
+    def test_broke_adversary_not_consulted_but_run_identical(self):
         from repro.adversary.jamming import ThresholdGuardJammer
 
         calls = {"fast": 0, "reference": 0}
@@ -251,15 +250,39 @@ class TestAdversaryBudgetGating:
             )
 
         spec = _spec(mf=0, behavior="jam", m=6)
-        _set_fast(monkeypatch, True)
-        fast = run(spec, adversary_override=patched("fast"))
-        _set_fast(monkeypatch, False)
-        reference = run(spec, adversary_override=patched("reference"))
+        fast = run(spec, tier=Tier.FAST, adversary_override=patched("fast"))
+        reference = run(
+            spec, tier=Tier.REFERENCE, adversary_override=patched("reference")
+        )
         _assert_reports_identical(fast, reference)
         # mf=0 means the adversary could never act: the fast driver skips
         # every consultation, the reference loop performs them all.
         assert calls["fast"] == 0
         assert calls["reference"] > 0
+
+
+@needs_numpy
+class TestTierIsPerCall:
+    """The tier is an argument of one call, not state of the process."""
+
+    def test_concurrent_runs_keep_their_own_tier(self):
+        # serve's degraded path computes on threads: a reference run and
+        # a default (vector) run of one kernel-eligible spec, started
+        # together, must each run at the tier they asked for.
+        spec = _spec(mf=0, behavior="jam", m=6)
+        start = threading.Barrier(2)
+
+        def run_at(**tier):
+            start.wait()
+            return run(spec, **tier)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            reference = pool.submit(run_at, tier=Tier.REFERENCE)
+            default = pool.submit(run_at)
+            reference, default = reference.result(), default.result()
+        assert compare_reports(default, reference) == []
+        assert isinstance(default.nodes, vectorized.LazyNodeMap)
+        assert not isinstance(reference.nodes, vectorized.LazyNodeMap)
 
 
 @needs_numpy

@@ -1,18 +1,23 @@
-"""Tests for :mod:`repro.seams` — the runtime fast/reference registry."""
+"""Tests for :mod:`repro.seams` — the seam table and the execution tier."""
+
+import importlib
+import inspect
 
 import pytest
 
-from repro import seams
+import repro.fuzz.runner as fuzz_runner
 from repro.errors import ConfigurationError
+from repro.protocols import vectorized
+from repro.scenario import run
+from repro.seams import SEAMS, Seam, Tier
+from strategies import equivalence_spec
 
-#: Every seam the tree ships. The four historical fast paths plus the
-#: warm-world cache, the numpy neighbor-table build, and the scenario
-#: service's cache/dedup short-circuit.
+#: Every seam the tree ships: the four historical fast paths plus the
+#: warm-world cache and the numpy neighbor-table build.
 EXPECTED_SEAMS = {
     "flat-engines",
     "grid-build",
     "round-driver",
-    "serve-cache",
     "slot-resolver",
     "vector-kernel",
     "warm-world",
@@ -22,93 +27,91 @@ EXPECTED_SEAMS = {
 def make_seam(**overrides):
     fields = dict(
         name="test-seam",
-        flag_module="repro.radio.medium",
-        flag_attr="DEFAULT_FAST",
+        tier=Tier.FAST,
         fast="repro.radio.medium.Medium.resolve_slot",
         reference="repro.radio.medium.Medium.resolve_slot_reference",
         differential_test="tests/test_radio_medium.py",
-        fuzz_leg="fast",
     )
     fields.update(overrides)
-    return seams.Seam(**fields)
+    return Seam(**fields)
+
+
+def resolve(dotted: str):
+    """Import the longest module prefix of ``dotted``, then getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
 
 
 class TestRegistry:
     def test_all_sites_register(self):
-        registered = {seam.name for seam in seams.load_seam_sites()}
-        assert EXPECTED_SEAMS <= registered
+        assert {seam.name for seam in SEAMS} == EXPECTED_SEAMS
 
     def test_all_seams_name_sorted(self):
-        seams.load_seam_sites()
-        listed = seams.all_seams()
-        assert [s.name for s in listed] == sorted(s.name for s in listed)
-        assert seams.names() == tuple(s.name for s in listed)
-
-    def test_flags_resolve_and_default_on(self):
-        # Every shipped seam's flag exists where it claims, and the fast
-        # path is the default everywhere.
-        for seam in seams.load_seam_sites():
-            assert seam.current() is True, seam.name
-
-    def test_get_unknown_lists_known(self):
-        seams.load_seam_sites()
-        with pytest.raises(ConfigurationError, match="slot-resolver"):
-            seams.get("no-such-seam")
+        names = [seam.name for seam in SEAMS]
+        assert names == sorted(names)
 
     def test_duplicate_name_rejected(self):
-        seams.load_seam_sites()
-        with pytest.raises(ConfigurationError, match="already registered"):
-            seams.register(make_seam(name="slot-resolver"))
+        # SEAMS is a literal table, so this test is what rejects a second
+        # seam under an existing name.
+        names = [seam.name for seam in SEAMS]
+        assert len(set(names)) == len(names)
 
-    def test_register_unregister_round_trip(self):
-        seam = seams.register(make_seam())
-        try:
-            assert seams.get("test-seam") is seam
-        finally:
-            assert seams.unregister("test-seam") is seam
-        with pytest.raises(ConfigurationError):
-            seams.unregister("test-seam")
+    def test_flags_resolve_and_default_on(self):
+        # Every seam's dotted paths name real objects, and a plain
+        # run(spec) takes every fast path.
+        for seam in SEAMS:
+            assert callable(resolve(seam.fast)), seam.fast
+            assert callable(resolve(seam.reference)), seam.reference
+        default = inspect.signature(run).parameters["tier"].default
+        assert default is Tier.VECTOR
 
 
 class TestSeamValidation:
     @pytest.mark.parametrize(
-        "field",
-        ["name", "flag_module", "flag_attr", "fast", "reference",
-         "differential_test"],
+        "field", ["name", "fast", "reference", "differential_test"]
     )
     def test_empty_field_rejected(self, field):
         with pytest.raises(ConfigurationError, match="non-empty"):
             make_seam(**{field: ""})
 
     def test_unknown_fuzz_leg_rejected(self):
-        with pytest.raises(ConfigurationError, match="fuzz leg"):
-            make_seam(fuzz_leg="diagonal")
-
-    def test_missing_flag_attr_fails_resolution(self):
-        seam = make_seam(flag_attr="DEFAULT_NO_SUCH_FLAG")
-        with pytest.raises(ConfigurationError, match="does not exist"):
-            seam.current()
+        # The tier decides which fuzz leg runs the seam's fast side.
+        with pytest.raises(ConfigurationError, match="Tier.FAST or Tier.VECTOR"):
+            make_seam(tier="diagonal")
 
 
 class TestFuzzFlags:
-    def test_covers_every_registered_seam(self):
-        flags = list(seams.fuzz_flags())
-        assert {seam.name for seam, _ in flags} >= EXPECTED_SEAMS
-        for seam, module in flags:
-            assert isinstance(getattr(module, seam.flag_attr), bool)
-            assert seam.fuzz_leg in seams.FUZZ_LEGS
+    def test_covers_every_registered_seam(self, monkeypatch):
+        # One fuzz case runs every tier a seam sits at, plus the
+        # reference tier that runs all the twins.
+        tiers = []
+        real_run = fuzz_runner.run_scenario
+
+        def recording_run(spec, *, tier):
+            tiers.append(tier)
+            return real_run(spec, tier=tier)
+
+        monkeypatch.setattr(fuzz_runner, "run_scenario", recording_run)
+        assert fuzz_runner.check_spec(equivalence_spec()) == []
+        expected = {Tier.REFERENCE} | {seam.tier for seam in SEAMS}
+        if not vectorized.available():
+            expected.discard(Tier.VECTOR)
+        assert set(tiers) == expected
 
     def test_legless_seam_fails_loudly(self):
-        # A seam outside the differential net must break the fuzz run,
-        # not silently escape it.
-        seams.register(make_seam(name="test-legless", fuzz_leg=None))
-        try:
-            with pytest.raises(ConfigurationError, match="without a fuzz leg"):
-                list(seams.fuzz_flags())
-        finally:
-            seams.unregister("test-legless")
+        # A seam whose fast side sits at the reference tier would never
+        # meet its twin in a differential run; it must not construct.
+        with pytest.raises(ConfigurationError, match="Tier.REFERENCE run"):
+            make_seam(tier=Tier.REFERENCE)
 
     def test_vector_leg_present(self):
-        by_name = {seam.name: seam for seam, _ in seams.fuzz_flags()}
-        assert by_name["vector-kernel"].fuzz_leg == "vector"
-        assert by_name["slot-resolver"].fuzz_leg == "fast"
+        vector = {seam.name for seam in SEAMS if seam.tier is Tier.VECTOR}
+        assert vector == {"vector-kernel"}

@@ -1,15 +1,12 @@
-"""Byte-identity differential suite for the scenario service.
+"""Byte-identity suite for the scenario service.
 
-This is the ``serve-cache`` seam's differential test: the service's
-fast path (``DEFAULT_SERVE_FAST`` on — LRU, in-flight dedup, and disk
-short-circuits) must serve byte-for-byte what the reference shape
-(``DEFAULT_SERVE_FAST`` off — every request computed fresh) serves,
-and both must equal the ground truth
-:func:`repro.serve.service.report_bytes` — the canonical serialization
+Every serving path — fresh compute, the LRU, the disk cache and a real
+spawn worker — must serve byte-for-byte the ground truth
+:func:`repro.serve.service.report_bytes`, the canonical serialization
 of a direct ``run_summary(spec)``.
 
-Every bundled preset is pinned on every serving path: cold compute,
-warm LRU hit, and a fresh service reading the first one's disk cache.
+Every bundled preset is pinned on three of them: cold compute, a warm
+LRU hit, and a fresh service reading the first one's disk cache.
 ``megatorus`` (10^6 nodes) joins only when NumPy is available — its
 non-vectorized run would take minutes.
 """
@@ -83,53 +80,6 @@ def test_every_path_serves_reference_bytes(name, tmp_path):
     disk = serve_one(restarted, spec)
     assert disk.source == "disk"
     assert disk.body == expected
-
-
-def test_reference_mode_serves_identical_bytes(tmp_path, monkeypatch):
-    """DEFAULT_SERVE_FAST off: every request computes fresh, same bytes."""
-    spec = preset("quickstart")
-    expected = report_bytes(spec)
-    monkeypatch.setattr(serve_service, "DEFAULT_SERVE_FAST", False)
-    service = ScenarioService(
-        pool=InlinePool(), cache=ResultCache(tmp_path, namespace="scenario")
-    )
-    first, second = serve_many(service, [spec, spec])
-    # The reference shape never short-circuits...
-    assert first.source == "computed"
-    assert second.source == "computed"
-    assert service.stats.computed == 2
-    assert service.stats.lru_hits == 0
-    assert service.stats.deduped == 0
-    # ...never fills a cache layer...
-    assert len(service.lru) == 0
-    assert list(tmp_path.glob("*.json")) == []
-    # ...and serves exactly the fast path's bytes.
-    assert first.body == expected
-    assert second.body == expected
-
-
-def test_reference_mode_concurrent_duplicates_each_compute(monkeypatch):
-    computed = []
-
-    def counting(specs):
-        computed.extend(specs)
-        return [("ok", {"seed": spec.seed}) for spec in specs]
-
-    monkeypatch.setattr(serve_service, "DEFAULT_SERVE_FAST", False)
-    spec = preset("quickstart")
-    service = ScenarioService(pool=InlinePool(), chunk_runner=counting)
-
-    async def scenario():
-        await service.start()
-        results = await asyncio.gather(
-            *(service.submit_spec(spec) for _ in range(3))
-        )
-        await service.drain()
-        return results
-
-    results = asyncio.run(scenario())
-    assert len(computed) == 3  # no dedup in reference mode
-    assert len({r.body for r in results}) == 1
 
 
 def test_spawn_pool_serves_reference_bytes(tmp_path):

@@ -18,14 +18,13 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-import repro.network.grid as grid_mod
 from repro.adversary.placement import RandomPlacement
 from repro.network.grid import Grid, GridSpec
-from repro.protocols import vectorized
 from repro.protocols.base import ThresholdNode
 from repro.protocols.vectorized import LazyNodeMap
 from repro.scenario import ScenarioSpec, preset
 from repro.scenario import run as run_scenario
+from repro.seams import Tier
 
 
 # -- grid CSR parity: numpy build vs pure-python build -------------------------
@@ -42,12 +41,7 @@ PARITY_SPECS = [
 
 
 def _python_built(spec: GridSpec) -> Grid:
-    saved = grid_mod.DEFAULT_FAST_BUILD
-    grid_mod.DEFAULT_FAST_BUILD = False
-    try:
-        return Grid(spec)
-    finally:
-        grid_mod.DEFAULT_FAST_BUILD = saved
+    return Grid(spec, fast=False)
 
 
 @pytest.mark.parametrize("spec", PARITY_SPECS, ids=str)
@@ -115,12 +109,11 @@ def test_protocol_without_vector_build_falls_through():
 
 
 def test_flag_off_falls_through():
-    saved = vectorized.DEFAULT_VECTOR
-    vectorized.DEFAULT_VECTOR = False
-    try:
-        assert not _engages(_eligible_spec())
-    finally:
-        vectorized.DEFAULT_VECTOR = saved
+    # Below Tier.VECTOR the kernel is never tried, eligible or not.
+    for tier in (Tier.FAST, Tier.REFERENCE):
+        assert not isinstance(
+            run_scenario(_eligible_spec(), tier=tier).nodes, LazyNodeMap
+        )
 
 
 def _megatorus_replica() -> ScenarioSpec:
@@ -141,12 +134,7 @@ def test_kernel_report_matches_flat_report(make_spec):
     # differential): same spec through kernel and flat engines.
     spec = make_spec()
     vector_report = run_scenario(spec)
-    saved = vectorized.DEFAULT_VECTOR
-    vectorized.DEFAULT_VECTOR = False
-    try:
-        flat_report = run_scenario(spec)
-    finally:
-        vectorized.DEFAULT_VECTOR = saved
+    flat_report = run_scenario(spec, tier=Tier.FAST)
     assert isinstance(vector_report.nodes, LazyNodeMap)
     assert not isinstance(flat_report.nodes, LazyNodeMap)
     assert vector_report.outcome == flat_report.outcome
