@@ -18,22 +18,37 @@ Fast path
 ---------
 
 ``resolve_slot`` is the hottest call in the simulator (every slot of
-every run lands here), so it avoids the historical per-slot dict/set
-churn:
+every run lands here), so it avoids per-slot dict/set churn and, on
+most calls, per-delivery allocation:
 
 - slots are memoized whole: transmissions are frozen (hashable)
   dataclasses, so ``(tuple(honest), tuple(byzantine))`` exactly keys
-  the resulting delivery list, which is cached as an immutable tuple
-  and copied into a fresh list on every hit. Steady-state traffic is
-  extremely repetitive (E2's source repeats one slot 2001 times against
-  the same planned jams), so the memo carries the bulk of a run;
-- memo misses with a single transmission reduce to one pass over the
-  sender's sorted neighbors (no collision is possible);
+  the resulting batch. Some traffic repeats exactly (E2's source repeats
+  one slot 2001 times against the same planned jams), but across the 13
+  experiments about 70% of calls miss the memo, and the misses carry
+  nearly all of the resolver's time, so the miss path is what must be
+  cheap;
+- **delivery rows**: a medium caches, per ``(sender, value, kind)``,
+  the tuple of :class:`Delivery` objects that one transmission yields
+  where it is heard alone, one per receiver in
+  :meth:`~repro.network.grid.Grid.neighbors_sorted` order. The cache is
+  bounded by the number of deliveries it holds (not rows, so the bound
+  does not depend on ``r``) and dropped wholesale when full;
+- memo misses with a single transmission (no collision is possible)
+  return a fresh batch over the sender's row;
 - multi-transmission misses run over dense id-indexed scratch buffers
   (a ``bytearray`` heard-count, a ``bytearray`` transmitting mask, the
+  row delivery of a receiver that hears one transmission, the
   controlling Byzantine sender per receiver, and a touched-receiver
-  scratch list), iterating :meth:`~repro.network.grid.Grid.neighbors_sorted`
-  so deliveries come out already ordered by receiver.
+  scratch list). They walk each sender's sorted neighbors together with
+  its row, so deliveries come out already ordered by receiver, and only
+  collision (corrupted) deliveries are built per slot.
+
+Uncollided deliveries are therefore *shared*: the same transmission
+heard alone by the same receiver is the same :class:`Delivery` object
+in every batch built while its row stays cached. That is safe because a :class:`Delivery` is an
+immutable ``NamedTuple``; as a tuple it also compares equal to the
+plain 5-tuple ``(receiver, sender, value, kind, corrupted)``.
 
 The historical dict-based implementation is preserved as
 ``resolve_slot_reference``; the determinism suite asserts both produce
@@ -61,7 +76,7 @@ Both paths enforce the same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError, ScheduleConflictError
 from repro.network.grid import Grid
@@ -76,15 +91,23 @@ _SLOT_MEMO_LIMIT = 2048
 #: Whole-round memo bound (each entry holds one round's batch tuple).
 _ROUND_MEMO_LIMIT = 512
 
+#: Delivery-row bound, counted in deliveries held rather than rows so it
+#: does not depend on ``r`` (the rows are dropped wholesale when a new
+#: row would pass it).
+_ROW_DELIVERY_LIMIT = 1 << 17
 
-@dataclass(frozen=True, slots=True)
-class Delivery:
+
+class Delivery(NamedTuple):
     """One value delivered to one receiver in one slot.
 
     ``corrupted`` marks deliveries manufactured through a collision — it
     is *simulation metadata* for metrics and adversary bookkeeping; the
     receiving protocol node never sees it (receivers cannot detect
     collisions in this model).
+
+    An immutable tuple: uncollided deliveries are shared between batches
+    (see the module docstring), and a delivery compares equal to the
+    plain 5-tuple of its fields.
     """
 
     receiver: NodeId
@@ -205,7 +228,7 @@ class Medium:
         self._scratch_ready = False
         self._transmitting: bytearray
         self._heard: bytearray
-        self._single: list[int]
+        self._single: list[Delivery | None]
         self._ctrl_sender: list[int]
         self._ctrl_idx: list[int]
         self._touched: list[NodeId]
@@ -218,6 +241,11 @@ class Medium:
         # (a tuple of per-slot sender specs and batch tuples). Owned here
         # so warm Medium instances carry it across runs of one grid.
         self._round_memo: dict[tuple, tuple] = {}
+        # (sender, value, kind) -> that transmission's uncollided
+        # deliveries, one per receiver in neighbors_sorted(sender) order.
+        # _row_deliveries counts the deliveries held, for the bound.
+        self._rows: dict[tuple, tuple[Delivery, ...]] = {}
+        self._row_deliveries = 0
 
     def resolve_slot(
         self,
@@ -244,10 +272,7 @@ class Medium:
             # every neighbor hears it verbatim (a lone Byzantine message
             # is a plain lie — spoof_sender only acts at collisions).
             tx = honest[0] if honest else byzantine[0]
-            batch = DeliveryBatch(
-                Delivery(receiver, tx.sender, tx.value, tx.kind, False)
-                for receiver in self.grid.neighbors_sorted(tx.sender)
-            )
+            batch = DeliveryBatch(self._row(tx.sender, tx.value, tx.kind))
         else:
             batch = self._resolve_flat(honest, byzantine)
         if len(self._slot_memo) >= _SLOT_MEMO_LIMIT:
@@ -269,11 +294,29 @@ class Medium:
 
     # -- fast path ---------------------------------------------------------
 
+    def _row(
+        self, sender: NodeId, value: Value, kind: MessageKind
+    ) -> tuple[Delivery, ...]:
+        """The uncollided deliveries of one transmission (cached row)."""
+        key = (sender, value, kind)
+        row = self._rows.get(key)
+        if row is None:
+            row = tuple([
+                Delivery(receiver, sender, value, kind, False)
+                for receiver in self.grid.neighbors_sorted(sender)
+            ])
+            if self._row_deliveries + len(row) > _ROW_DELIVERY_LIMIT:
+                self._rows.clear()
+                self._row_deliveries = 0
+            self._rows[key] = row
+            self._row_deliveries += len(row)
+        return row
+
     def _ensure_scratch(self) -> None:
         n = self.grid.n
         self._transmitting = bytearray(n)
         self._heard = bytearray(n)  # 0, 1, or 2 meaning "two or more"
-        self._single = [0] * n  # tx index while heard == 1
+        self._single = [None] * n  # row delivery while heard == 1
         self._ctrl_sender = [n] * n  # min Byzantine sender heard (n = none)
         self._ctrl_idx = [0] * n  # its index into the byzantine list
         self._touched = []
@@ -295,7 +338,7 @@ class Medium:
         ctrl_sender = self._ctrl_sender
         ctrl_idx = self._ctrl_idx
         touched = self._touched
-        n_honest = len(honest)
+        row_of = self._row
 
         # Radios are half-duplex: a node transmitting in this slot cannot
         # receive. (Only relevant when two Byzantine nodes are adjacent —
@@ -306,26 +349,29 @@ class Medium:
             transmitting[tx.sender] = 1
 
         try:
-            for index, tx in enumerate(honest):
-                for receiver in neighbors[tx.sender]:
+            for tx in honest:
+                sender = tx.sender
+                row = row_of(sender, tx.value, tx.kind)
+                for receiver, delivery in zip(neighbors[sender], row):
                     if transmitting[receiver]:
                         continue
                     count = heard[receiver]
                     if count == 0:
                         heard[receiver] = 1
-                        single[receiver] = index
+                        single[receiver] = delivery
                         touched.append(receiver)
                     elif count == 1:
                         heard[receiver] = 2
             for bindex, tx in enumerate(byzantine):
                 sender = tx.sender
-                for receiver in neighbors[sender]:
+                row = row_of(sender, tx.value, tx.kind)
+                for receiver, delivery in zip(neighbors[sender], row):
                     if transmitting[receiver]:
                         continue
                     count = heard[receiver]
                     if count == 0:
                         heard[receiver] = 1
-                        single[receiver] = n_honest + bindex
+                        single[receiver] = delivery
                         touched.append(receiver)
                     elif count == 1:
                         heard[receiver] = 2
@@ -343,13 +389,7 @@ class Medium:
             corrupted = 0
             for receiver in touched:
                 if heard[receiver] == 1:
-                    index = single[receiver]
-                    tx = (
-                        honest[index]
-                        if index < n_honest
-                        else byzantine[index - n_honest]
-                    )
-                    append(Delivery(receiver, tx.sender, tx.value, tx.kind, False))
+                    append(single[receiver])
                     continue
                 if ctrl_sender[receiver] == n:
                     senders = [

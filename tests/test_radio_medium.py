@@ -1,11 +1,15 @@
 """Tests for per-slot medium resolution (collision semantics)."""
 
+import random
+
 import pytest
 
+import repro.radio.medium as medium_module
 from repro.errors import ConfigurationError, ScheduleConflictError
 from repro.network.grid import Grid, GridSpec
-from repro.radio.medium import Medium
+from repro.radio.medium import Delivery, DeliveryBatch, Medium
 from repro.radio.messages import BadTransmission, MessageKind, Transmission
+from strategies import MEDIUM_GRID, MEDIUM_SCHEDULE, honest_for_slot
 
 
 def make_medium(r=1, width=12):
@@ -204,8 +208,6 @@ class TestFastPathEquivalence:
     """The flat-buffer fast path is byte-for-byte the reference path."""
 
     def test_randomized_slots_match_reference(self):
-        import random
-
         grid = Grid(GridSpec(20, 20, r=2, torus=True))
         fast = Medium(grid, fast=True)
         reference = Medium(grid, fast=False)
@@ -293,3 +295,119 @@ class TestFastPathEquivalence:
             [Transmission(a, 1)], [BadTransmission(b, 0)]
         )
         assert deliveries == reference
+
+    def test_multi_honest_streams_match_reference(self, monkeypatch):
+        # The driver's common miss: several honest owners of one TDMA
+        # class plus a few Byzantine transmissions, resolved on one
+        # long-lived medium so delivery rows are reused across slots.
+        # A tiny row bound forces the row cache to drop mid-stream.
+        monkeypatch.setattr(medium_module, "_ROW_DELIVERY_LIMIT", 200)
+        grid = MEDIUM_GRID
+        fast = Medium(grid)
+        reference = Medium(grid, fast=False)
+        rng = random.Random(7)
+        kinds = [MessageKind.DATA, MessageKind.NACK]
+        drops = multi_honest = 0
+        for _ in range(600):
+            slot = rng.randrange(MEDIUM_SCHEDULE.period)
+            honest = [
+                Transmission(tx.sender, rng.randint(0, 1), rng.choice(kinds))
+                for tx in honest_for_slot(slot, rng.randint(0, 6))
+            ]
+            honest_ids = {tx.sender for tx in honest}
+            byzantine: list[BadTransmission] = []
+            for _ in range(rng.randint(0, 4)):
+                if byzantine and rng.random() < 0.3:
+                    # Adjacent Byzantine senders (half-duplex masking).
+                    sender = rng.choice(grid.neighbors(byzantine[-1].sender))
+                else:
+                    sender = rng.randrange(grid.n)
+                if sender in honest_ids:
+                    continue
+                roll = rng.random()
+                if roll < 0.3:
+                    spoof = rng.randrange(grid.n)
+                elif roll < 0.5:
+                    # A neighbor of the jammer: the self-spoof clamp.
+                    spoof = rng.choice(grid.neighbors(sender))
+                else:
+                    spoof = None
+                byzantine.append(
+                    BadTransmission(
+                        sender,
+                        rng.randint(0, 1),
+                        silence_at_collision=rng.random() < 0.3,
+                        kind=rng.choice(kinds),
+                        spoof_sender=spoof,
+                    )
+                )
+            held = fast._row_deliveries
+            assert fast.resolve_slot(honest, byzantine) == (
+                reference.resolve_slot(honest, byzantine)
+            )
+            drops += fast._row_deliveries < held
+            multi_honest += len(honest) > 1
+        assert drops > 0
+        assert multi_honest > 200
+
+
+class TestSharedDeliveries:
+    """Uncollided deliveries are shared row objects; batches are not."""
+
+    def test_repeated_transmission_shares_delivery_objects(self):
+        grid, medium = make_medium()
+        sender = grid.id_of((5, 5))
+        tx = Transmission(sender, 1)
+        jammed = medium.resolve_slot([tx], [BadTransmission(grid.id_of((7, 5)), 0)])
+        other = grid.id_of((0, 9))  # far away: no common receiver
+        paired = medium.resolve_slot([tx, Transmission(other, 2)], [])
+        assert jammed is not paired
+        first = {d.receiver: d for d in jammed if d.sender == sender}
+        second = {d.receiver: d for d in paired if d.sender == sender}
+        uncollided = [r for r in first if not first[r].corrupted]
+        assert uncollided
+        for receiver in uncollided:
+            assert first[receiver] is second[receiver]
+
+    def test_lone_batch_is_fresh_over_the_row(self):
+        grid, medium = make_medium()
+        tx = Transmission(grid.id_of((5, 5)), 1)
+        first = medium.resolve_slot([tx], [])
+        medium._slot_memo.clear()
+        second = medium.resolve_slot([tx], [])
+        assert type(first) is DeliveryBatch and type(second) is DeliveryBatch
+        assert first.corrupted_count == 0 and second.corrupted_count == 0
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        # The batch is a list over the row, never the cached row tuple.
+        assert not any(first is row for row in medium._rows.values())
+
+    def test_delivery_is_an_immutable_record(self):
+        delivery = Delivery(3, 4, 1, MessageKind.NACK, corrupted=True)
+        with pytest.raises(AttributeError):
+            delivery.receiver = 5
+        assert hash(delivery) == hash(Delivery(3, 4, 1, MessageKind.NACK, True))
+        assert delivery == Delivery(3, 4, 1, MessageKind.NACK, True)
+        assert Delivery(3, 4, 1, MessageKind.DATA).corrupted is False
+        assert repr(delivery) == (
+            "Delivery(receiver=3, sender=4, value=1, "
+            "kind=<MessageKind.NACK: 'nack'>, corrupted=True)"
+        )
+
+    def test_scratch_idle_after_conflict_mid_row(self):
+        # Two adjacent honest senders collide after lower receivers were
+        # already emitted from their rows, and a Byzantine sender marks
+        # controllers elsewhere: every scratch buffer must come back idle.
+        grid, medium = make_medium()
+        n = grid.n
+        honest = [
+            Transmission(grid.id_of((5, 5)), 1),
+            Transmission(grid.id_of((6, 5)), 1),
+        ]
+        byzantine = [BadTransmission(grid.id_of((1, 1)), 0)]
+        with pytest.raises(ScheduleConflictError):
+            medium.resolve_slot(honest, byzantine)
+        assert medium._heard == bytearray(n)
+        assert medium._transmitting == bytearray(n)
+        assert medium._ctrl_sender == [n] * n
+        assert medium._touched == []
