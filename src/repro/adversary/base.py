@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.radio.medium import Delivery
+from repro.radio.medium import DeliveryBatch
 from repro.radio.messages import BadTransmission, Transmission
 
 
@@ -48,7 +48,7 @@ class Adversary(ABC):
     ) -> list[BadTransmission]:
         """Byzantine transmissions for this slot."""
 
-    def observe(self, deliveries: list[Delivery]) -> None:
+    def observe(self, deliveries: DeliveryBatch) -> None:
         """Default: ignore (stateless adversaries)."""
 
     def has_pending(self) -> bool:

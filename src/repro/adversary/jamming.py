@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.network.grid import Grid
 from repro.network.node import NodeTable
 from repro.radio.budget import BudgetLedger
-from repro.radio.medium import Delivery, shared_plan_cache
+from repro.radio.medium import DeliveryBatch
 from repro.radio.messages import BadTransmission, MessageKind, Transmission
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.types import VFALSE, VTRUE, NodeId, Value
@@ -93,13 +93,6 @@ class ThresholdGuardJammer(Adversary):
         # clean[w] = uncorrupted Vtrue copies delivered to w so far
         # (flat, id-indexed — consulted on every at-risk check).
         self._clean: list[int] = [0] * grid.n
-        # Per-batch observe plans: the medium's memo returns identity-
-        # stable batches, so the relevant receivers of a repeated slot
-        # are computed once — and shared across runs of one shape, since
-        # a plan depends only on (vtrue, protected set) and the batch.
-        self._observe_plans = shared_plan_cache(
-            ("guard-clean", grid.n, vtrue, tuple(sorted(self.protected)))
-        )
         # bad neighbors (within r) of each protected receiver, cached lazily
         self._bad_near: dict[NodeId, tuple[NodeId, ...]] = {}
         # protected neighbors of each sender, cached lazily (the at-risk
@@ -201,24 +194,35 @@ class ThresholdGuardJammer(Adversary):
             for jammer in sorted(chosen)
         ]
 
-    def observe(self, deliveries: list[Delivery]) -> None:
-        targets = self._observe_plans.get(deliveries)
-        if targets is None:
-            protected = self._protected_mask
-            vtrue = self.vtrue
-            data = MessageKind.DATA
-            targets = [
-                d.receiver
-                for d in deliveries
-                if not d.corrupted
-                and d.kind is data
-                and d.value == vtrue
-                and protected[d.receiver]
-            ]
-            self._observe_plans.put(deliveries, targets)
+    def observe(self, deliveries: DeliveryBatch) -> None:
+        """Count clean ``Vtrue`` DATA copies at protected receivers.
+
+        Per segment: a segment that reached the sender's whole
+        neighborhood adds one copy at each of the sender's cached
+        protected neighbors; a partial one is filtered by the protected
+        mask. A plain delivery list is wrapped first.
+        """
         clean = self._clean
-        for receiver in targets:
-            clean[receiver] += 1
+        protected = self._protected_mask
+        protected_near = self._protected_near
+        full = self.grid._neighbors_sorted
+        vtrue = self.vtrue
+        data = MessageKind.DATA
+        for sender, value, kind, corrupted, receivers in DeliveryBatch.of(
+            deliveries
+        ).segments:
+            if corrupted or kind is not data or value != vtrue:
+                continue
+            if receivers is full[sender]:
+                near = protected_near.get(sender)
+                if near is None:
+                    near = self._protected_neighbors_of(sender)
+                for receiver in near:
+                    clean[receiver] += 1
+            else:
+                for receiver in receivers:
+                    if protected[receiver]:
+                        clean[receiver] += 1
 
     def clean_copies_at(self, receiver: NodeId) -> int:
         """Clean Vtrue copies a protected receiver has (for experiment reports)."""

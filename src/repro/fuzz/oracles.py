@@ -24,7 +24,7 @@ under the locally-bounded, message-bounded adversary — Lemma 1 makes the
 acceptance threshold ``t*mf + 1`` unreachable by wrong values for the
 threshold protocols), the run-limit contract (nothing decides after the
 round cap), conservation between the driver's statistics and the budget
-ledger, delivery geometry, and the immutability contract on memoized
+ledger, delivery geometry, and the segment invariants of memoized
 :class:`~repro.radio.medium.DeliveryBatch` objects.
 """
 
@@ -252,25 +252,45 @@ def _check_decision_consistency(ctx: OracleContext) -> str | None:
 
 @invariant(
     "delivery-batch-immutable",
-    description="memoized DeliveryBatch objects still satisfy their own "
-    "corrupted_count (a consumer mutating resolver output corrupts the memo)",
+    description="memoized DeliveryBatch segments are consistent: size and "
+    "corrupted_count match them, each receiver tuple is ascending, no "
+    "receiver is heard twice, and full segments are the grid's own "
+    "neighbor tuple (batches are tuples all the way down, so a consumer "
+    "cannot mutate one; this checks the resolver's construction)",
 )
-def _check_batch_immutability(ctx: OracleContext) -> str | None:
+def _check_batch_segments(ctx: OracleContext) -> str | None:
     medium = ctx.medium
     if medium is None:
         return None
-    batches: list[DeliveryBatch] = list(medium._slot_memo.values())
+    # By identity: a memoized round repeats its slots' batch objects.
+    batches = {id(batch): batch for batch in medium._slot_memo.values()}
     for cached_round in medium._round_memo.values():
         for slot_batches in cached_round:
-            batches.extend(slot_batches)
-    for batch in batches:
+            batches.update((id(batch), batch) for batch in slot_batches)
+    neighbors = medium.grid.neighbors_sorted
+    for batch in batches.values():
         if not isinstance(batch, DeliveryBatch):
             return f"memo holds a non-DeliveryBatch {type(batch).__name__}"
-        recount = sum(1 for d in batch if d.corrupted)
-        if recount != batch.corrupted_count:
+        size = corrupted = 0
+        heard: set[int] = set()
+        for sender, _value, _kind, is_corrupted, receivers in batch.segments:
+            count = len(receivers)
+            size += count
+            if is_corrupted:
+                corrupted += count
+            full = neighbors(sender)
+            if receivers is not full:  # the grid's tuple is ascending
+                if not is_corrupted and count == len(full):
+                    return f"sender {sender}'s full segment copies its neighbor tuple"
+                if list(receivers) != sorted(receivers):
+                    return f"a segment of sender {sender} is not ascending"
+            heard.update(receivers)
+        if (size, corrupted) != (batch.size, batch.corrupted_count):
             return (
-                f"a memoized batch claims corrupted_count="
-                f"{batch.corrupted_count} but holds {recount} corrupted "
-                "deliveries — resolver output was mutated"
+                f"a memoized batch claims size={batch.size}, corrupted_count="
+                f"{batch.corrupted_count} but its segments hold {size} and "
+                f"{corrupted}"
             )
+        if len(heard) != size:
+            return "a memoized batch delivers twice to one receiver"
     return None

@@ -26,22 +26,26 @@ reference path would have produced.
 Batched distribution
 --------------------
 
-``distribute(batch, round_index, repeat)`` consumes one resolved slot.
-Because the medium's memo returns identity-stable
-:class:`~repro.radio.medium.DeliveryBatch` objects, each engine caches a
-per-batch *plan* — the deliveries regrouped by value, restricted to
-managed honest receivers — keyed by ``id(batch)`` while holding the
-batch alive (so the id cannot be recycled). Steady-state slots then cost
-one dict hit plus one tight loop over an int array per value group.
+``distribute(batch, round_index, repeat)`` consumes one resolved slot,
+a :class:`~repro.radio.medium.DeliveryBatch`, one *segment* at a time:
+a segment is one transmission's outcome ``(sender, value, kind,
+corrupted, receivers)``, so the value lookup and the per-sender checks
+(CPA's source rule) happen once per segment, and the inner loop runs
+over the segment's receiver tuple. One ``skip`` bitmap (unmanaged or
+already decided) is the only per-receiver filter, so a Byzantine
+receiver inside a segment never reaches the decision rule. Nothing is
+planned or cached per batch: a segment already groups its receivers by
+value.
 ``repeat > 1`` applies one batch several times at once (the driver's
 burst dedup): counts advance by ``repeat`` and a threshold crossing is
 detected as ``old < threshold <= old + repeat``, which is exactly where
 per-copy processing would have decided.
 
 Equivalence constraints the engines rely on (and the drivers preserve):
-a receiver hears at most one delivery per resolved slot, decisions are
-monotone, and ``ThresholdNode``/``CpaNode`` pending sends only ever
-appear at decide time — which is why ``newly_pending`` (drained by the
+a receiver hears at most one delivery per resolved slot (so the order
+segments are applied in cannot matter), decisions are monotone, and
+``ThresholdNode``/``CpaNode`` pending sends only ever appear at decide
+time — which is why ``newly_pending`` (drained by the
 driver's candidate tracker) is complete.
 """
 
@@ -52,7 +56,6 @@ from typing import Mapping
 
 from repro.protocols.base import BroadcastParams, ThresholdNode
 from repro.protocols.cpa import CpaNode
-from repro.radio.medium import shared_plan_cache
 from repro.radio.messages import MessageKind
 from repro.types import NodeId, Value
 
@@ -76,32 +79,18 @@ class FlatThresholdEngine:
         self.threshold = threshold
         self._nodes = nodes
         self.decided = bytearray(n)
-        self._is_node = bytearray(n)
+        # 1 = never count here: not a managed node, or already decided.
+        self._skip = bytearray(b"\x01") * n
         self._counts: dict[Value, list[int]] = {}
         # id(batch) -> [total hits, batch]; the strong reference keeps
         # the id stable. Accounting, not a cache: never dropped mid-run.
         self._batch_hits: dict[int, list] = {}
-        # Plans depend only on (n, managed receiver set) and the batch
-        # content: share them across a sweep's runs of one shape.
-        self._plans = shared_plan_cache(("threshold", n, tuple(nodes)))
         self.newly_pending: list[NodeId] = []
         for nid, node in nodes.items():
-            self._is_node[nid] = 1
             if node.decided:
                 self.decided[nid] = 1
-
-    def _plan(self, batch) -> list[tuple[Value, list[NodeId]]]:
-        plan = self._plans.get(batch)
-        if plan is None:
-            groups: dict[Value, list[NodeId]] = {}
-            is_node = self._is_node
-            data = MessageKind.DATA
-            for d in batch:
-                if d.kind is data and is_node[d.receiver]:
-                    groups.setdefault(d.value, []).append(d.receiver)
-            plan = list(groups.items())
-            self._plans.put(batch, plan)
-        return plan
+            else:
+                self._skip[nid] = 0
 
     def distribute(self, batch, round_index: int, repeat: int = 1) -> None:
         entry = self._batch_hits.get(id(batch))
@@ -109,16 +98,19 @@ class FlatThresholdEngine:
             entry[0] += repeat
         else:
             self._batch_hits[id(batch)] = [repeat, batch]
-        decided = self.decided
+        skip = self._skip
         threshold = self.threshold
         counts_by_value = self._counts
-        for value, receivers in self._plan(batch):
+        data = MessageKind.DATA
+        for _sender, value, kind, _corrupted, receivers in batch.segments:
+            if kind is not data:
+                continue
             counts = counts_by_value.get(value)
             if counts is None:
                 counts = counts_by_value[value] = [0] * self.n
             if repeat == 1:
                 for rec in receivers:
-                    if decided[rec]:
+                    if skip[rec]:
                         continue
                     c = counts[rec] + 1
                     counts[rec] = c
@@ -126,7 +118,7 @@ class FlatThresholdEngine:
                         self._decide(rec, value, round_index)
             else:
                 for rec in receivers:
-                    if decided[rec]:
+                    if skip[rec]:
                         continue
                     c = counts[rec]
                     counts[rec] = c + repeat
@@ -140,21 +132,26 @@ class FlatThresholdEngine:
         node._current_round = round_index
         node._decide(value)
         self.decided[rec] = 1
+        self._skip[rec] = 1
         if node.has_pending():
             self.newly_pending.append(rec)
 
     def sync_nodes(self) -> None:
         """Write the reference-shape state back into the nodes.
 
-        Replays the per-batch hit counters through the (cached) plans,
-        which reproduces exactly the ``received_total`` / ``value_counts``
-        the per-delivery reference path accumulates.
+        Replays the per-batch hit counters over each batch's DATA
+        segments, which reproduces exactly the ``received_total`` /
+        ``value_counts`` the per-delivery reference path accumulates
+        (counts at unmanaged receivers are tallied but never read).
         """
         n = self.n
+        data = MessageKind.DATA
         received = [0] * n
         totals: dict[Value, list[int]] = {}
         for hits, batch in self._batch_hits.values():
-            for value, receivers in self._plan(batch):
+            for _sender, value, kind, _corrupted, receivers in batch.segments:
+                if kind is not data:
+                    continue
                 counts = totals.get(value)
                 if counts is None:
                     counts = totals[value] = [0] * n
@@ -185,31 +182,19 @@ class FlatCpaEngine:
         self.threshold = threshold  # t + 1 distinct endorsers
         self._nodes = nodes
         self.decided = bytearray(n)
-        self._is_node = bytearray(n)
+        # 1 = never count here (see FlatThresholdEngine).
+        self._skip = bytearray(b"\x01") * n
         # value -> distinct-endorser counts; value -> {rec * n + sender}.
         self._counts: dict[Value, list[int]] = {}
         self._seen: dict[Value, set[int]] = {}
         # id(batch) -> [total hits, batch] (see FlatThresholdEngine).
         self._batch_hits: dict[int, list] = {}
-        self._plans = shared_plan_cache(("cpa", n, tuple(nodes)))
         self.newly_pending: list[NodeId] = []
         for nid, node in nodes.items():
-            self._is_node[nid] = 1
             if node.decided:
                 self.decided[nid] = 1
-
-    def _plan(self, batch) -> list[tuple[Value, list[tuple[NodeId, NodeId]]]]:
-        plan = self._plans.get(batch)
-        if plan is None:
-            groups: dict[Value, list[tuple[NodeId, NodeId]]] = {}
-            is_node = self._is_node
-            data = MessageKind.DATA
-            for d in batch:
-                if d.kind is data and is_node[d.receiver]:
-                    groups.setdefault(d.value, []).append((d.receiver, d.sender))
-            plan = list(groups.items())
-            self._plans.put(batch, plan)
-        return plan
+            else:
+                self._skip[nid] = 0
 
     def distribute(self, batch, round_index: int, repeat: int = 1) -> None:
         entry = self._batch_hits.get(id(batch))
@@ -217,21 +202,26 @@ class FlatCpaEngine:
             entry[0] += repeat
         else:
             self._batch_hits[id(batch)] = [repeat, batch]
-        decided = self.decided
+        skip = self._skip
         threshold = self.threshold
         source = self.source
         n = self.n
-        for value, pairs in self._plan(batch):
+        data = MessageKind.DATA
+        for sender, value, kind, _corrupted, receivers in batch.segments:
+            if kind is not data:
+                continue
             counts = self._counts.get(value)
             if counts is None:
                 counts = self._counts[value] = [0] * n
                 self._seen[value] = set()
+            if sender == source:
+                for rec in receivers:
+                    if not skip[rec]:
+                        self._decide(rec, value, round_index)
+                continue
             seen = self._seen[value]
-            for rec, sender in pairs:
-                if decided[rec]:
-                    continue
-                if sender == source:
-                    self._decide(rec, value, round_index)
+            for rec in receivers:
+                if skip[rec]:
                     continue
                 key = rec * n + sender
                 if key in seen:
@@ -247,17 +237,20 @@ class FlatCpaEngine:
         node._current_round = round_index
         node._decide(value)
         self.decided[rec] = 1
+        self._skip[rec] = 1
         if node.has_pending():
             self.newly_pending.append(rec)
 
     def sync_nodes(self) -> None:
         """Rebuild each node's dict-of-sets endorsements from flat state."""
         n = self.n
+        data = MessageKind.DATA
         received = [0] * n
         for hits, batch in self._batch_hits.values():
-            for _value, pairs in self._plan(batch):
-                for rec, _sender in pairs:
-                    received[rec] += hits
+            for _sender, _value, kind, _corrupted, receivers in batch.segments:
+                if kind is data:
+                    for rec in receivers:
+                        received[rec] += hits
         per_node: dict[NodeId, dict[Value, set[NodeId]]] = {}
         for value, seen in self._seen.items():
             for key in seen:

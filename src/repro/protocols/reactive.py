@@ -32,7 +32,7 @@ from repro.errors import ConfigurationError
 from repro.network.grid import Grid
 from repro.network.node import NodeTable
 from repro.radio.budget import BudgetLedger
-from repro.radio.medium import Delivery
+from repro.radio.medium import DeliveryBatch
 from repro.radio.messages import BadTransmission, MessageKind, Transmission
 from repro.types import VFALSE, NodeId, Role, Value
 
@@ -341,7 +341,7 @@ class CodedJammerAdversary:
             spoof_sender=victim.sender,
         )
 
-    def observe(self, deliveries: list[Delivery]) -> None:  # omniscient, stateless
+    def observe(self, deliveries: DeliveryBatch) -> None:  # omniscient, stateless
         return
 
     def has_pending(self) -> bool:

@@ -61,7 +61,7 @@ from repro.errors import ConfigurationError
 from repro.network.grid import Grid
 from repro.network.node import NodeTable
 from repro.radio.budget import BudgetLedger
-from repro.radio.medium import Delivery, Medium
+from repro.radio.medium import DeliveryBatch, Medium
 from repro.radio.messages import BadTransmission, MessageKind, Transmission
 from repro.radio.schedule import TdmaSchedule
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -121,8 +121,14 @@ class AdversaryLike(Protocol):
     ) -> list[BadTransmission]:
         """Byzantine transmissions for this slot (may be empty)."""
 
-    def observe(self, deliveries: list[Delivery]) -> None:
-        """Full omniscient view of what was just delivered."""
+    def observe(self, deliveries: DeliveryBatch) -> None:
+        """Full omniscient view of what was just delivered.
+
+        Always a :class:`~repro.radio.medium.DeliveryBatch`, at every
+        tier: per-transmission ``segments`` for bulk bookkeeping, or
+        iterate it for receiver-ordered
+        :class:`~repro.radio.medium.Delivery` records.
+        """
 
     def has_pending(self) -> bool:
         """Does the adversary still intend to transmit spontaneously?"""
@@ -371,7 +377,6 @@ class RoundDriver:
         ledger = self.ledger
         nodes = self.nodes
         adversary = self.adversary
-        medium = self.medium
         by_slot = self._slot_buckets
         tx_cache = self._tx_cache
         slot_last = self._slot_last
@@ -457,7 +462,7 @@ class RoundDriver:
                     ):
                         batch = last[2]
                     else:
-                        batch = medium.resolve_slot(honest_txs, byz_txs)
+                        batch = self._resolve(honest_txs, byz_txs)
                         slot_last[slot] = (honest_txs, byz_txs, batch)
                     self._flush(batch, 1, round_index)
                     continue
@@ -474,7 +479,7 @@ class RoundDriver:
                     ):
                         pending_batch = last[2]
                     else:
-                        pending_batch = medium.resolve_slot(honest_txs, byz_txs)
+                        pending_batch = self._resolve(honest_txs, byz_txs)
                         slot_last[slot] = (honest_txs, byz_txs, pending_batch)
                     prev_honest = honest_txs
                     prev_byz = byz_txs
@@ -495,15 +500,19 @@ class RoundDriver:
                 nodes[nid].on_round_end(round_index)
         return transmitted
 
-    def _flush(self, batch, multiplicity: int, round_index: int) -> None:
+    def _resolve(
+        self, honest: list[Transmission], byzantine: list[BadTransmission]
+    ) -> DeliveryBatch:
+        """Resolve one slot; the one place a plain reference list is wrapped."""
+        return DeliveryBatch.of(self.medium.resolve_slot(honest, byzantine))
+
+    def _flush(
+        self, batch: DeliveryBatch, multiplicity: int, round_index: int
+    ) -> None:
         """Distribute one resolved batch ``multiplicity`` times at once."""
         stats = self.stats
-        size = len(batch)
-        stats.deliveries += size * multiplicity
-        corrupted = getattr(batch, "corrupted_count", None)
-        if corrupted is None:  # reference-resolver plain list
-            corrupted = sum(1 for d in batch if d.corrupted)
-        stats.corrupted_deliveries += corrupted * multiplicity
+        stats.deliveries += batch.size * multiplicity
+        stats.corrupted_deliveries += batch.corrupted_count * multiplicity
         engine = self.engine
         if engine is not None:
             engine.distribute(batch, round_index, multiplicity)
@@ -517,14 +526,12 @@ class RoundDriver:
                         scan.append(nid)
                 newly.clear()
         else:
-            nodes = self.nodes
+            get_node = self.nodes.get
             for _ in range(multiplicity):
-                for delivery in batch:
-                    node = nodes.get(delivery.receiver)
+                for receiver, sender, value, kind, _ in batch:
+                    node = get_node(receiver)
                     if node is not None:  # honest receiver
-                        node.on_receive(
-                            delivery.sender, delivery.value, delivery.kind
-                        )
+                        node.on_receive(sender, value, kind)
         if not self._observe_stateless:
             observe = self.adversary.observe
             for _ in range(multiplicity):
@@ -658,7 +665,7 @@ class RoundDriver:
                 self.stats.honest_transmissions += len(honest_txs)
                 self.stats.byzantine_transmissions += len(byz_txs)
 
-                deliveries = self.medium.resolve_slot(honest_txs, byz_txs)
+                deliveries = self._resolve(honest_txs, byz_txs)
                 self._distribute(deliveries, round_index, slot)
 
         for nid in self._honest_ids:
@@ -666,7 +673,7 @@ class RoundDriver:
         return transmitted
 
     def _distribute(
-        self, deliveries: list[Delivery], round_index: int, slot: int
+        self, deliveries: DeliveryBatch, round_index: int, slot: int
     ) -> None:
         trace_on = self.tracer.enabled
         for delivery in deliveries:

@@ -18,8 +18,18 @@ Fast path
 ---------
 
 ``resolve_slot`` is the hottest call in the simulator (every slot of
-every run lands here), so it avoids per-slot dict/set churn and, on
-most calls, per-delivery allocation:
+every run lands here), so it works per *transmission*, not per receiver:
+a resolved slot is a :class:`DeliveryBatch` holding one **segment** per
+outcome,
+
+    ``(sender, value, kind, corrupted, receivers)``
+
+where ``receivers`` is the ascending tuple of receivers that heard that
+outcome. A segment that reaches every neighbor of its sender reuses the
+grid's own :meth:`~repro.network.grid.Grid.neighbors_sorted` tuple (the
+same object), so consumers can test ``receivers is
+grid.neighbors_sorted(sender)`` and use per-sender caches. Each receiver
+appears in at most one segment of a batch.
 
 - slots are memoized whole: transmissions are frozen (hashable)
   dataclasses, so ``(tuple(honest), tuple(byzantine))`` exactly keys
@@ -28,40 +38,53 @@ most calls, per-delivery allocation:
   experiments about 70% of calls miss the memo, and the misses carry
   nearly all of the resolver's time, so the miss path is what must be
   cheap;
-- **delivery rows**: a medium caches, per ``(sender, value, kind)``,
-  the tuple of :class:`Delivery` objects that one transmission yields
-  where it is heard alone, one per receiver in
-  :meth:`~repro.network.grid.Grid.neighbors_sorted` order. The cache is
-  bounded by the number of deliveries it holds (not rows, so the bound
-  does not depend on ``r``) and dropped wholesale when full;
-- memo misses with a single transmission (no collision is possible)
-  return a fresh batch over the sender's row;
-- multi-transmission misses run over dense id-indexed scratch buffers
-  (a ``bytearray`` heard-count, a ``bytearray`` transmitting mask, the
-  row delivery of a receiver that hears one transmission, the
-  controlling Byzantine sender per receiver, and a touched-receiver
-  scratch list). They walk each sender's sorted neighbors together with
-  its row, so deliveries come out already ordered by receiver, and only
-  collision (corrupted) deliveries are built per slot.
+- **no-collision shortcut**: a lone transmission (honest or Byzantine),
+  or an honest-only slot whose senders are strictly ascending and share
+  one TDMA class ``(x mod 2r+1, y mod 2r+1)``, cannot collide anywhere.
+  Distinct same-class senders are at least ``2r+1`` apart (torus sides
+  are multiples of ``2r+1``, see :class:`~repro.network.grid.GridSpec`),
+  so no receiver is within ``r`` of two of them and no sender hears
+  another. Such a slot is one full segment per sender, built in
+  O(#transmissions) with no scratch walk. Anything else — duplicate or
+  out-of-order senders, mixed classes, any Byzantine company — takes the
+  walk, which is where honest collisions raise;
+- every other slot walks each sender's sorted neighbors over dense
+  id-indexed scratch buffers (a ``bytearray`` heard-count, a
+  ``bytearray`` transmitting mask, the owning transmission of a
+  receiver that hears one, the controlling Byzantine sender per
+  receiver, and a touched-receiver list). It emits one segment per
+  transmission over the receivers that heard it alone, and one
+  ``corrupted=True`` segment per ``(apparent sender, value, kind)`` over
+  the collision receivers.
+
+Per-delivery consumers (reactive nodes, tests, oracles) still see a
+sequence of :class:`Delivery` records: iterating, indexing, ``len`` and
+``==`` go through a **materialized view**, built once per batch and
+cached as a tuple. It is ordered by receiver and equals
+``resolve_slot_reference``'s list. Its uncollided deliveries come from
+**delivery rows**: a medium caches, per ``(sender, value, kind)``, the
+tuple of :class:`Delivery` objects that one transmission yields where it
+is heard alone, one per receiver in ``neighbors_sorted`` order. The cache
+is bounded by the number of deliveries it holds (not rows, so the bound
+does not depend on ``r``) and dropped wholesale when full. Rows are built
+only when a view is.
 
 Uncollided deliveries are therefore *shared*: the same transmission
 heard alone by the same receiver is the same :class:`Delivery` object
-in every batch built while its row stays cached. That is safe because a :class:`Delivery` is an
-immutable ``NamedTuple``; as a tuple it also compares equal to the
-plain 5-tuple ``(receiver, sender, value, kind, corrupted)``.
+in every view built while its row stays cached. That is safe because a
+:class:`Delivery` is an immutable ``NamedTuple``; as a tuple it also
+compares equal to the plain 5-tuple ``(receiver, sender, value, kind,
+corrupted)``.
 
 The historical dict-based implementation is preserved as
 ``resolve_slot_reference``; the determinism suite asserts both produce
 byte-for-byte identical delivery lists.
 
-Since the scenario fast path, the fast resolver returns a
-:class:`DeliveryBatch` — a ``list`` subclass carrying a precomputed
-``corrupted_count`` — and memo hits return the
-*same cached batch object* rather than a fresh copy, so callers must
-treat resolver output as immutable. Identity-stable batches are what
-lets the round driver and the flat protocol engines cache per-batch
-distribution plans (keyed by ``id(batch)`` while holding the batch
-alive). A :class:`Medium` also owns the *whole-round memo*
+Batches are immutable (segments and views are tuples), and memo hits
+return the *same cached batch object* rather than a fresh copy, which
+lets the round driver and the flat protocol engines key per-batch
+accounting by ``id(batch)`` while holding the batch alive. A
+:class:`Medium` also owns the *whole-round memo*
 (:meth:`round_memo_get` / :meth:`round_memo_put`): the driver keys a
 steady-state round's entire transmission pattern by the tuple of its
 slot signatures, so repeated rounds (silent rounds, relay plateaus,
@@ -117,16 +140,25 @@ class Delivery(NamedTuple):
     corrupted: bool = False
 
 
+#: One transmission's outcome in a resolved slot: ``(sender, value,
+#: kind, corrupted, receivers)`` with ``receivers`` ascending (see the
+#: module docstring). Consumers unpack the plain tuple.
+Segment = tuple[NodeId, Value, MessageKind, bool, tuple[NodeId, ...]]
+
+
 class BatchPlanCache:
     """``id(batch) -> plan`` memo with an identity guard.
 
     Delivery batches are identity-stable (memo hits return the same
-    object), so consumers that precompute per-batch *plans* — regrouped
-    delivery views for the flat protocol engines, filtered receiver
-    lists for adversary bookkeeping — key them by ``id(batch)``. Each
-    entry holds the batch itself, pinning its id for the entry's
-    lifetime; the identity recheck guards recycled addresses after a
-    clear. Bounded: dropped wholesale when full.
+    object), so a consumer that precomputes a per-batch *plan* can key it
+    by ``id(batch)``. Each entry holds the batch itself, pinning its id
+    for the entry's lifetime; the identity recheck guards recycled
+    addresses after a clear. Bounded: dropped wholesale when full.
+
+    No program code calls this (or :func:`shared_plan_cache`) since the
+    consumers work per segment; ``perfbench`` still wraps
+    ``BatchPlanCache.get`` and clears ``_PLAN_CACHES``, so both stay
+    until the benchmark stops naming them.
     """
 
     __slots__ = ("_plans", "limit")
@@ -170,23 +202,92 @@ def shared_plan_cache(signature: tuple) -> BatchPlanCache:
     return cache
 
 
-class DeliveryBatch(list):
-    """One slot's delivery list plus precomputed aggregates.
+class DeliveryBatch:
+    """One resolved slot: per-transmission segments plus aggregates.
 
-    A plain ``list`` to every existing consumer (equality, iteration,
-    ``len``), with ``corrupted_count`` attached so the driver's stats
-    update is O(1) instead of one pass per slot. Memo hits hand out the
-    same batch object every time, which makes ``id(batch)`` a stable key
-    for per-batch distribution plans **as long as the keeper also holds a
-    strong reference to the batch** (see the flat protocol engines).
-    Treat batches as immutable.
+    :attr:`segments` is a tuple of :data:`Segment` (see the module
+    docstring); ``size`` (also ``len``) and ``corrupted_count`` count
+    deliveries, so the driver's stats update is O(1). Iteration, indexing
+    and ``==`` go through :attr:`deliveries`, the receiver-ordered
+    :class:`Delivery` view, built on first use and cached. Memo hits hand
+    out the same batch object every time, which makes ``id(batch)`` a
+    stable key for per-batch accounting **as long as the keeper also
+    holds a strong reference to the batch** (see the flat protocol
+    engines).
     """
 
-    __slots__ = ("corrupted_count",)
+    __slots__ = ("_segments", "size", "corrupted_count", "_medium", "_view")
 
-    def __init__(self, deliveries=(), corrupted_count: int = 0) -> None:
-        super().__init__(deliveries)
-        self.corrupted_count = corrupted_count
+    def __init__(self, segments: tuple[Segment, ...], medium: Medium) -> None:
+        size = corrupted = 0
+        for segment in segments:
+            count = len(segment[4])
+            size += count
+            if segment[3]:
+                corrupted += count
+        self._segments: tuple[Segment, ...] | None = segments
+        self.size = size
+        self.corrupted_count = corrupted
+        self._medium: Medium | None = medium
+        self._view: tuple[Delivery, ...] | None = None
+
+    @classmethod
+    def of(cls, deliveries) -> DeliveryBatch:
+        """``deliveries`` itself if it is a batch, else a batch over it.
+
+        Wraps a plain receiver-sorted delivery list (the reference
+        resolver's output): the list is the view, and the segments — one
+        per delivery — are built only if a consumer asks for them, so a
+        reference run pays for them only under an adversary that reads
+        them.
+        """
+        if isinstance(deliveries, DeliveryBatch):
+            return deliveries
+        batch = cls.__new__(cls)
+        batch._view = view = tuple(deliveries)
+        batch._segments = None
+        batch._medium = None
+        batch.size = len(view)
+        batch.corrupted_count = sum([1 for delivery in view if delivery[4]])
+        return batch
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """One :data:`Segment` per outcome (per delivery when wrapped)."""
+        segments = self._segments
+        if segments is None:
+            segments = self._segments = tuple([
+                (sender, value, kind, corrupted, (receiver,))
+                for receiver, sender, value, kind, corrupted in self.deliveries
+            ])
+        return segments
+
+    @property
+    def deliveries(self) -> tuple[Delivery, ...]:
+        """The receiver-ordered :class:`Delivery` view (built once)."""
+        view = self._view
+        if view is None:
+            view = self._view = self._medium._materialize(self._segments)
+        return view
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return iter(self.deliveries)
+
+    def __getitem__(self, index):
+        return self.deliveries[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DeliveryBatch):
+            return self is other or self.deliveries == other.deliveries
+        if isinstance(other, list):
+            return self.size == len(other) and self.deliveries == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DeliveryBatch({list(self.deliveries)!r})"
 
 
 def _apparent_sender(
@@ -219,19 +320,21 @@ class Medium:
     def __init__(self, grid: Grid, *, fast: bool = True) -> None:
         self.grid = grid
         self.fast = fast
-        # Reusable flat scratch (multi-transmission slots), allocated on
-        # the first multi-transmission slot: vectorized-kernel runs (and
-        # single-transmission workloads) never resolve one, and five
-        # O(n) buffers are real money on a 10^6-node grid. All buffers
-        # are restored to their idle state after every call — including
-        # on the ScheduleConflictError path — via the touched list.
+        # Reusable flat scratch (slots that may collide), allocated on the
+        # first such slot: vectorized-kernel runs (and collision-free
+        # workloads) never resolve one, and five O(n) buffers are real
+        # money on a 10^6-node grid. All buffers are restored to their
+        # idle state after every call — including on the
+        # ScheduleConflictError path — via the touched list.
         self._scratch_ready = False
         self._transmitting: bytearray
         self._heard: bytearray
-        self._single: list[Delivery | None]
+        self._owner: list[int]
         self._ctrl_sender: list[int]
         self._ctrl_idx: list[int]
         self._touched: list[NodeId]
+        # TDMA class side (2r+1), for the no-collision shortcut.
+        self._side = 2 * grid.r + 1
         # (tuple(honest), tuple(byzantine)) -> DeliveryBatch. Transmissions
         # are frozen dataclasses, so the key captures the slot's entire
         # input, including list order (which breaks equal-id Byzantine
@@ -251,13 +354,14 @@ class Medium:
         self,
         honest: list[Transmission],
         byzantine: list[BadTransmission],
-    ) -> list[Delivery]:
+    ) -> list[Delivery] | DeliveryBatch:
         """Compute all deliveries for one slot.
 
         Honest transmissions in the same slot must be mutually
         non-interfering (the TDMA coloring guarantees it); a violation
         raises :class:`ScheduleConflictError` because it indicates a bug,
-        not an attack.
+        not an attack. Returns a :class:`DeliveryBatch`, or the reference
+        resolver's plain list when ``fast=False``.
         """
         if not honest and not byzantine:
             return []
@@ -267,12 +371,12 @@ class Medium:
         cached = self._slot_memo.get(key)
         if cached is not None:
             return cached
-        if len(honest) + len(byzantine) == 1:
-            # A lone transmission: no collision is possible anywhere, so
-            # every neighbor hears it verbatim (a lone Byzantine message
-            # is a plain lie — spoof_sender only acts at collisions).
-            tx = honest[0] if honest else byzantine[0]
-            batch = DeliveryBatch(self._row(tx.sender, tx.value, tx.kind))
+        if not byzantine and self._collision_free(honest):
+            batch = self._full_segments(honest)
+        elif not honest and len(byzantine) == 1:
+            # A lone Byzantine message is a plain lie from its true
+            # sender: spoof_sender only acts at collisions.
+            batch = self._full_segments(byzantine)
         else:
             batch = self._resolve_flat(honest, byzantine)
         if len(self._slot_memo) >= _SLOT_MEMO_LIMIT:
@@ -294,6 +398,36 @@ class Medium:
 
     # -- fast path ---------------------------------------------------------
 
+    def _collision_free(self, honest: list[Transmission]) -> bool:
+        """Strictly ascending senders of one TDMA class (see module doc)."""
+        width = self.grid.width
+        side = self._side
+        first = honest[0].sender
+        column = first % width % side
+        row = first // width % side
+        previous = first
+        for tx in honest[1:]:
+            sender = tx.sender
+            if (
+                sender <= previous
+                or sender % width % side != column
+                or sender // width % side != row
+            ):
+                return False
+            previous = sender
+        return True
+
+    def _full_segments(self, txs) -> DeliveryBatch:
+        """One full segment per transmission (no receiver hears two)."""
+        neighbors = self.grid._neighbors_sorted
+        return DeliveryBatch(
+            tuple([
+                (tx.sender, tx.value, tx.kind, False, neighbors[tx.sender])
+                for tx in txs
+            ]),
+            self,
+        )
+
     def _row(
         self, sender: NodeId, value: Value, kind: MessageKind
     ) -> tuple[Delivery, ...]:
@@ -312,11 +446,31 @@ class Medium:
             self._row_deliveries += len(row)
         return row
 
+    def _materialize(self, segments: tuple[Segment, ...]) -> tuple[Delivery, ...]:
+        """A batch's receiver-ordered delivery view (rows for clean ones)."""
+        out: list[Delivery] = []
+        for sender, value, kind, corrupted, receivers in segments:
+            if corrupted:
+                out.extend([
+                    Delivery(receiver, sender, value, kind, True)
+                    for receiver in receivers
+                ])
+                continue
+            row = self._row(sender, value, kind)
+            if len(receivers) == len(row):
+                out.extend(row)
+            else:
+                heard = set(receivers)
+                out.extend([d for d in row if d[0] in heard])
+        if len(segments) > 1:
+            out.sort()  # receivers are unique, so this orders by receiver
+        return tuple(out)
+
     def _ensure_scratch(self) -> None:
         n = self.grid.n
         self._transmitting = bytearray(n)
         self._heard = bytearray(n)  # 0, 1, or 2 meaning "two or more"
-        self._single = [None] * n  # row delivery while heard == 1
+        self._owner = [0] * n  # transmission index while heard == 1
         self._ctrl_sender = [n] * n  # min Byzantine sender heard (n = none)
         self._ctrl_idx = [0] * n  # its index into the byzantine list
         self._touched = []
@@ -334,11 +488,10 @@ class Medium:
         neighbors = grid._neighbors_sorted
         transmitting = self._transmitting
         heard = self._heard
-        single = self._single
+        owner = self._owner
         ctrl_sender = self._ctrl_sender
         ctrl_idx = self._ctrl_idx
         touched = self._touched
-        row_of = self._row
 
         # Radios are half-duplex: a node transmitting in this slot cannot
         # receive. (Only relevant when two Byzantine nodes are adjacent —
@@ -349,29 +502,28 @@ class Medium:
             transmitting[tx.sender] = 1
 
         try:
-            for tx in honest:
-                sender = tx.sender
-                row = row_of(sender, tx.value, tx.kind)
-                for receiver, delivery in zip(neighbors[sender], row):
+            # Transmission index: honest ones first, then Byzantine ones.
+            for index, tx in enumerate(honest):
+                for receiver in neighbors[tx.sender]:
                     if transmitting[receiver]:
                         continue
                     count = heard[receiver]
                     if count == 0:
                         heard[receiver] = 1
-                        single[receiver] = delivery
+                        owner[receiver] = index
                         touched.append(receiver)
                     elif count == 1:
                         heard[receiver] = 2
+            offset = len(honest)
             for bindex, tx in enumerate(byzantine):
                 sender = tx.sender
-                row = row_of(sender, tx.value, tx.kind)
-                for receiver, delivery in zip(neighbors[sender], row):
+                for receiver in neighbors[sender]:
                     if transmitting[receiver]:
                         continue
                     count = heard[receiver]
                     if count == 0:
                         heard[receiver] = 1
-                        single[receiver] = delivery
+                        owner[receiver] = offset + bindex
                         touched.append(receiver)
                     elif count == 1:
                         heard[receiver] = 2
@@ -384,12 +536,11 @@ class Medium:
                         ctrl_idx[receiver] = bindex
 
             touched.sort()
-            deliveries = DeliveryBatch()
-            append = deliveries.append
-            corrupted = 0
+            alone: list[list[NodeId]] = [[] for _ in range(offset + len(byzantine))]
+            collided: dict[tuple, list[NodeId]] = {}
             for receiver in touched:
                 if heard[receiver] == 1:
-                    append(single[receiver])
+                    alone[owner[receiver]].append(receiver)
                     continue
                 if ctrl_sender[receiver] == n:
                     senders = [
@@ -405,18 +556,16 @@ class Medium:
                 controller = byzantine[ctrl_idx[receiver]]
                 if controller.silence_at_collision:
                     continue  # receiver hears nothing and notices nothing
-                corrupted += 1
-                append(
-                    Delivery(
-                        receiver,
-                        _apparent_sender(controller, receiver, n),
-                        controller.value,
-                        controller.kind,
-                        True,
-                    )
+                outcome = (
+                    _apparent_sender(controller, receiver, n),
+                    controller.value,
+                    controller.kind,
                 )
-            deliveries.corrupted_count = corrupted
-            return deliveries
+                group = collided.get(outcome)
+                if group is None:
+                    collided[outcome] = [receiver]
+                else:
+                    group.append(receiver)
         finally:
             for tx in honest:
                 transmitting[tx.sender] = 0
@@ -426,6 +575,24 @@ class Medium:
                 heard[receiver] = 0
                 ctrl_sender[receiver] = n
             touched.clear()
+
+        segments: list[Segment] = []
+        for txs, base in ((honest, 0), (byzantine, offset)):
+            for index, tx in enumerate(txs, base):
+                receivers = alone[index]
+                if not receivers:
+                    continue
+                full = neighbors[tx.sender]
+                segments.append((
+                    tx.sender,
+                    tx.value,
+                    tx.kind,
+                    False,
+                    full if len(receivers) == len(full) else tuple(receivers),
+                ))
+        for (sender, value, kind), receivers in collided.items():
+            segments.append((sender, value, kind, True, tuple(receivers)))
+        return DeliveryBatch(tuple(segments), self)
 
     # -- reference path ----------------------------------------------------
 

@@ -1,15 +1,34 @@
 """Tests for per-slot medium resolution (collision semantics)."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import repro.radio.medium as medium_module
 from repro.errors import ConfigurationError, ScheduleConflictError
 from repro.network.grid import Grid, GridSpec
+from repro.protocols.flat import FlatThresholdEngine
 from repro.radio.medium import Delivery, DeliveryBatch, Medium
 from repro.radio.messages import BadTransmission, MessageKind, Transmission
 from strategies import MEDIUM_GRID, MEDIUM_SCHEDULE, honest_for_slot
+
+
+def assert_segment_invariants(batch, grid):
+    """What every consumer of a batch's segments relies on."""
+    size = corrupted = 0
+    heard = set()
+    for sender, _value, _kind, is_corrupted, receivers in batch.segments:
+        assert list(receivers) == sorted(set(receivers))  # strictly ascending
+        assert heard.isdisjoint(receivers)  # each receiver at most once
+        heard.update(receivers)
+        size += len(receivers)
+        if is_corrupted:
+            corrupted += len(receivers)
+        elif len(receivers) == len(grid.neighbors_sorted(sender)):
+            assert receivers is grid.neighbors_sorted(sender)
+    assert batch.size == len(batch) == size
+    assert batch.corrupted_count == corrupted
 
 
 def make_medium(r=1, width=12):
@@ -258,19 +277,32 @@ class TestFastPathEquivalence:
         ) == medium.resolve_slot_reference(honest, byzantine)
 
     def test_memo_hits_return_identity_stable_batches(self):
-        # Since the scenario fast path, memo hits hand out the *same*
-        # cached batch object (callers must treat it as immutable): the
-        # stable identity is what keys per-batch distribution plans in
-        # the flat engines and the round driver.
+        # Memo hits hand out the *same* cached batch object (its stable
+        # identity keys per-batch accounting in the flat engines and the
+        # round driver). A batch is an immutable sequence: len, receiver-
+        # ordered iteration, indexing and == all go through a tuple view
+        # that equals the reference resolver's list.
         grid = Grid(GridSpec(12, 12, r=1, torus=True))
         medium = Medium(grid)
         honest = [Transmission(grid.id_of((5, 5)), 1)]
         first = medium.resolve_slot(honest, [])
         second = medium.resolve_slot(honest, [])
-        assert first == second
         assert first is second
-        assert isinstance(first, list)  # still a plain list to consumers
+        reference = medium.resolve_slot_reference(honest, [])
+        assert first == reference and reference == first
+        assert len(first) == len(reference) == 8
+        assert list(first) == reference
+        assert [d.receiver for d in first] == sorted(d.receiver for d in first)
+        assert first[0] == reference[0] and first[-1] == reference[-1]
         assert first.corrupted_count == 0
+        view = first.deliveries
+        assert isinstance(view, tuple) and view is first.deliveries
+        with pytest.raises(TypeError):
+            first[0] = reference[1]
+        with pytest.raises(TypeError):
+            view[0] = reference[1]
+        with pytest.raises(AttributeError):
+            first.append(reference[0])
 
     def test_honest_collision_raises_on_both_paths(self):
         grid = Grid(GridSpec(12, 12, r=1, torus=True))
@@ -342,9 +374,10 @@ class TestFastPathEquivalence:
                     )
                 )
             held = fast._row_deliveries
-            assert fast.resolve_slot(honest, byzantine) == (
-                reference.resolve_slot(honest, byzantine)
-            )
+            batch = fast.resolve_slot(honest, byzantine)
+            if honest or byzantine:
+                assert_segment_invariants(batch, grid)
+            assert batch == reference.resolve_slot(honest, byzantine)
             drops += fast._row_deliveries < held
             multi_honest += len(honest) > 1
         assert drops > 0
@@ -411,3 +444,66 @@ class TestSharedDeliveries:
         assert medium._transmitting == bytearray(n)
         assert medium._ctrl_sender == [n] * n
         assert medium._touched == []
+
+
+class TestSegments:
+    """Per-transmission segments and the no-collision shortcut."""
+
+    def test_same_class_honest_slot_skips_the_scratch(self):
+        grid = MEDIUM_GRID
+        medium = Medium(grid)
+        honest = honest_for_slot(4, 6)
+        assert len(honest) > 1
+        batch = medium.resolve_slot(honest, [])
+        assert not medium._scratch_ready
+        assert [segment[0] for segment in batch.segments] == [
+            tx.sender for tx in honest
+        ]
+        for sender, _value, _kind, _corrupted, receivers in batch.segments:
+            assert receivers is grid.neighbors_sorted(sender)
+        assert_segment_invariants(batch, grid)
+        assert batch == Medium(grid, fast=False).resolve_slot(honest, [])
+
+    @pytest.mark.parametrize(
+        "coords",
+        [((5, 5), (5, 5)), ((6, 5), (5, 5))],
+        ids=["duplicate-sender", "adjacent-out-of-order"],
+    )
+    def test_honest_collisions_still_raise(self, coords):
+        grid = Grid(GridSpec(12, 12, r=1, torus=True))
+        txs = [Transmission(grid.id_of(coord), 1) for coord in coords]
+        for fast in (True, False):
+            with pytest.raises(ScheduleConflictError, match="collided"):
+                Medium(grid, fast=fast).resolve_slot(txs, [])
+
+    def test_descending_same_class_senders_take_the_walk(self):
+        grid = Grid(GridSpec(12, 12, r=1, torus=True))
+        medium = Medium(grid)
+        honest = [
+            Transmission(grid.id_of((8, 5)), 1),
+            Transmission(grid.id_of((5, 5)), 2),
+        ]
+        batch = medium.resolve_slot(honest, [])
+        assert medium._scratch_ready
+        assert_segment_invariants(batch, grid)
+        assert batch == Medium(grid, fast=False).resolve_slot(honest, [])
+
+    def test_bad_receiver_in_a_full_segment_never_decides(self):
+        grid = MEDIUM_GRID
+        sender = grid.id_of((7, 7))
+        bad = grid.neighbors_sorted(sender)[3]
+        nodes = {
+            nid: SimpleNamespace(decided=False)
+            for nid in range(grid.n)
+            if nid != bad
+        }
+        engine = FlatThresholdEngine(nodes, grid.n, threshold=1)
+        reached = []
+        engine._decide = lambda rec, value, round_index: reached.append(rec)
+        batch = Medium(grid).resolve_slot([Transmission(sender, 1)], [])
+        (segment,) = batch.segments
+        assert segment[4] is grid.neighbors_sorted(sender) and bad in segment[4]
+        engine.distribute(batch, 0)
+        assert reached == [
+            nid for nid in grid.neighbors_sorted(sender) if nid != bad
+        ]
