@@ -451,22 +451,8 @@ def main(argv: list[str] | None = None) -> int:
         "--queue-limit",
         type=int,
         default=serve_defaults.DEFAULT_QUEUE_LIMIT,
-        help="queued computations before 503 + Retry-After (default "
+        help="computations in flight before 503 + Retry-After (default "
         f"{serve_defaults.DEFAULT_QUEUE_LIMIT})",
-    )
-    serve_parser.add_argument(
-        "--batch-max",
-        type=int,
-        default=serve_defaults.DEFAULT_BATCH_MAX,
-        help="max specs coalesced into one worker chunk (default "
-        f"{serve_defaults.DEFAULT_BATCH_MAX})",
-    )
-    serve_parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=serve_defaults.DEFAULT_BATCH_WINDOW,
-        help="seconds to wait for batchmates after a miss (default "
-        f"{serve_defaults.DEFAULT_BATCH_WINDOW})",
     )
     serve_parser.add_argument(
         "--request-timeout",
@@ -646,8 +632,6 @@ def main(argv: list[str] | None = None) -> int:
                 cache_dir=args.cache_dir,
                 lru_size=args.lru_size,
                 queue_limit=args.queue_limit,
-                batch_max=args.batch_max,
-                batch_window=args.batch_window,
                 request_timeout=args.request_timeout,
                 port_file=args.port_file,
                 stdin_batch=args.stdin_batch,

@@ -52,6 +52,7 @@ driver's candidate tracker) is complete.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import compress
 from typing import Mapping
 
 from repro.protocols.base import BroadcastParams, ThresholdNode
@@ -143,28 +144,40 @@ class FlatThresholdEngine:
         segments, which reproduces exactly the ``received_total`` /
         ``value_counts`` the per-delivery reference path accumulates
         (counts at unmanaged receivers are tallied but never read).
+        Hits are summed per ``(value, receivers)`` first: a full segment
+        is the grid's own neighbor tuple, so every batch it recurs in
+        costs one dict update, and each distinct tuple is walked once.
         """
         n = self.n
         data = MessageKind.DATA
-        received = [0] * n
-        totals: dict[Value, list[int]] = {}
+        grouped: defaultdict[Value, defaultdict[tuple[NodeId, ...], int]] = (
+            defaultdict(lambda: defaultdict(int))
+        )
         for hits, batch in self._batch_hits.values():
             for _sender, value, kind, _corrupted, receivers in batch.segments:
-                if kind is not data:
-                    continue
-                counts = totals.get(value)
-                if counts is None:
-                    counts = totals[value] = [0] * n
+                if kind is data:
+                    grouped[value][receivers] += hits
+        totals: dict[Value, list[int]] = {}
+        for value, by_receivers in grouped.items():
+            counts = totals[value] = [0] * n
+            for receivers, hits in by_receivers.items():
                 for rec in receivers:
-                    received[rec] += hits
                     counts[rec] += hits
-        for nid, node in self._nodes.items():
+        received = (
+            [sum(column) for column in zip(*totals.values())]
+            if totals
+            else [0] * n
+        )
+        nodes = self._nodes
+        for nid, node in nodes.items():
             node.received_total = received[nid]
-            counter: Counter[Value] = Counter()
-            for value, counts in totals.items():
-                if counts[nid]:
-                    counter[value] = counts[nid]
-            node.value_counts = counter
+            node.value_counts = Counter()
+        # Fill each Counter from the nonzero entries only, value by
+        # value, so its keys keep the order the values first arrived in.
+        for value, counts in totals.items():
+            for rec in compress(range(n), counts):
+                if rec in nodes:
+                    nodes[rec].value_counts[value] = counts[rec]
 
 
 class FlatCpaEngine:

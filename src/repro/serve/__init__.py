@@ -3,7 +3,8 @@
 Turns the sweep engine into a request-serving daemon: ScenarioSpec JSON
 in over HTTP (or stdin lines), the exact ``run(spec)`` report bytes
 back out, with in-flight dedup, an in-memory LRU over the on-disk
-result cache, and batched dispatch to a persistent worker pool. See
+result cache, and one task per computed request on a persistent
+worker pool. See
 :mod:`repro.serve.service` for the architecture and the byte-identity
 contract, :mod:`repro.serve.http` for the wire front end, and
 ``python -m repro serve --help`` for the CLI.

@@ -21,8 +21,6 @@ from repro.runner.parallel import (
 )
 from repro.serve.http import run_daemon
 from repro.serve.service import (
-    DEFAULT_BATCH_MAX,
-    DEFAULT_BATCH_WINDOW,
     DEFAULT_LRU_SIZE,
     DEFAULT_QUEUE_LIMIT,
     DEFAULT_REQUEST_TIMEOUT,
@@ -38,8 +36,6 @@ def build_service(
     cache_dir: str | None = None,
     lru_size: int = DEFAULT_LRU_SIZE,
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
-    batch_max: int = DEFAULT_BATCH_MAX,
-    batch_window: float = DEFAULT_BATCH_WINDOW,
     request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
     inline: bool = False,
 ) -> ScenarioService:
@@ -48,7 +44,7 @@ def build_service(
     ``cache_dir`` reuses the ``"scenario"`` namespace, so the daemon
     shares its on-disk results with ``scenario run --cache-dir`` sweeps
     in both directions. ``inline=True`` computes in-process (tests,
-    tiny batches) instead of spawning a worker pool.
+    ``--stdin-batch --workers 1``) instead of spawning a worker pool.
     """
     cache = (
         ResultCache(cache_dir, namespace="scenario")
@@ -61,8 +57,6 @@ def build_service(
         cache=cache,
         lru_size=lru_size,
         queue_limit=queue_limit,
-        batch_max=batch_max,
-        batch_window=batch_window,
         request_timeout=request_timeout,
     )
 
@@ -74,9 +68,11 @@ async def run_stdin_batch(
 ) -> int:
     """One-shot mode: a JSON spec per input line, a JSON result per output line.
 
-    Results are written in input order. Submission is bounded by the
-    service's ``queue_limit`` via a client-side semaphore, so batch mode
-    never trips its own backpressure (503s are for live traffic).
+    Each line is one request and each miss its own pool task; results
+    are written in input order. A client-side semaphore of
+    size ``queue_limit`` keeps the computations in flight below the
+    service's bound, so batch mode never trips its own backpressure
+    (503s are for live traffic).
     Returns the exit code: 0 if every line answered 200, else 1.
     """
     await service.start()
@@ -110,8 +106,6 @@ def serve_command(
     cache_dir: str | None = None,
     lru_size: int = DEFAULT_LRU_SIZE,
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
-    batch_max: int = DEFAULT_BATCH_MAX,
-    batch_window: float = DEFAULT_BATCH_WINDOW,
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     port_file: str | None = None,
     stdin_batch: bool = False,
@@ -122,8 +116,6 @@ def serve_command(
         cache_dir=cache_dir,
         lru_size=lru_size,
         queue_limit=queue_limit,
-        batch_max=batch_max,
-        batch_window=batch_window,
         request_timeout=request_timeout if request_timeout > 0 else None,
         inline=stdin_batch and workers == 1,
     )

@@ -11,21 +11,21 @@ Routes:
 - ``POST /run`` — a :class:`~repro.scenario.ScenarioSpec` JSON object;
   answers the exact bytes a direct ``run(spec)`` report serializes to
   (200), a structured ``{"error", "field", "suggestions"}`` body (400),
-  ``503`` + ``Retry-After`` when the compute queue is saturated or the
-  service is draining, or ``500`` for a simulation failure.
+  ``503`` + ``Retry-After`` when the computations in flight are at the
+  bound or the service is draining, or ``500`` for a simulation failure.
 - ``GET /healthz`` — liveness and pool health: ``status`` is ``"ok"`` or
   ``"degraded"``, plus pool liveness, restart count, and the degraded /
   timeout counters (see
   :meth:`~repro.serve.service.ScenarioService.health_payload`).
 - ``GET /stats`` — the service counters (requests, cache hits, dedup
-  and hit rates, queue depth, LRU occupancy).
+  and hit rates, computations in flight, LRU occupancy).
 - ``GET /presets`` — bundled preset names with their content hashes,
   so a client can warm or probe the cache without composing specs.
 
 The daemon (:func:`run_daemon`) installs SIGTERM/SIGINT handlers that
-trigger a graceful drain: stop accepting connections, finish everything
-queued, answer every in-flight request, then exit — so a supervisor's
-``SIGTERM`` never loses accepted work.
+trigger a graceful drain: stop accepting connections, finish every
+computation in flight, answer every in-flight request, then exit — so a
+supervisor's ``SIGTERM`` never loses accepted work.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ async def run_daemon(
             loop.remove_signal_handler(signum)
         server.close()
         await server.wait_closed()
-        # Finish queued compute and resolve every in-flight request...
+        # Finish compute in flight and resolve every waiting request...
         await service.drain()
         # ...then give connections a moment to flush their responses.
         if connections:

@@ -1,4 +1,4 @@
-"""The scenario service core: dedup, caching, and batched compute.
+"""The scenario service core: dedup, caching, and pooled compute.
 
 :class:`ScenarioService` is the long-lived composition the ROADMAP's
 Open Item 2 asked for — every ingredient already existed as a part, and
@@ -7,24 +7,24 @@ this module only arranges them into a request-serving shape:
 - **request key** — :meth:`ScenarioSpec.content_hash` identifies a
   request; two requests with the same hash are *the same computation*.
 - **in-flight dedup** — N concurrent identical specs fan in to one
-  pending future and share its result; the lookup-or-enqueue path has no
-  ``await`` between the cache checks and the in-flight registration, so
-  under asyncio a key can never be computed twice concurrently.
+  pending future and share its result; the lookup-or-dispatch path has
+  no ``await`` between the cache checks and the in-flight registration,
+  so under asyncio a key can never be computed twice concurrently.
 - **two cache layers** — an in-memory :class:`LruCache` of serialized
   response bodies over the on-disk
   :class:`~repro.runner.parallel.ResultCache` (the same store the
   ``scenario run --cache-dir`` sweeps write, namespace ``"scenario"``),
   both consulted before compute and both filled after.
-- **batching scheduler** — queued misses are coalesced into chunks (up
-  to ``batch_max`` specs, or whatever arrives within ``batch_window``
-  seconds) and dispatched to a persistent worker pool
-  (:class:`~repro.runner.parallel.PersistentPool`), so each spawn
-  worker's :class:`~repro.runner.parallel.ProcessLocalCache` warm worlds
-  survive across requests and a request batch pays no spawn cost.
-- **backpressure** — the compute queue is bounded (``queue_limit``);
-  when it is full a request is answered ``503`` with ``Retry-After``
-  instead of queueing unboundedly. Cache hits are still served while
-  saturated *and* while draining — only fresh compute is refused.
+- **one pool task per miss** — a miss is handed to a persistent worker
+  pool (:class:`~repro.runner.parallel.PersistentPool`) as a one-spec
+  chunk in the same event-loop step that registers it in flight, so
+  each spawn worker's :class:`~repro.runner.parallel.ProcessLocalCache`
+  warm worlds survive across requests and a request pays no spawn cost.
+- **backpressure** — computations in flight are bounded
+  (``queue_limit``); at the bound a fresh miss is answered ``503`` with
+  ``Retry-After`` instead of piling up in the pool's executor. Cache
+  hits and dedup joins are still served while saturated *and* while
+  draining — only fresh compute is refused.
 
 **Byte identity.** A served body is always
 :func:`serialize_outcome` of the :class:`~repro.scenario.ScenarioOutcome`
@@ -38,16 +38,16 @@ and ``tests/test_serve_identity.py`` pins it per bundled preset.
 (ROADMAP standing rule): every request is answered under a per-request
 deadline (``504`` with a structured body when exceeded — the shielded
 computation keeps running and fills the caches), and a broken worker
-pool flips a breaker into **degraded inline-compute mode**: batches run
+pool flips a breaker into **degraded inline-compute mode**: requests run
 the same module-level chunk runner on a thread (``X-Source:
-inline-degraded``), slower but byte-identical, while probe batches test
+inline-degraded``), slower but byte-identical, while probe requests test
 the pool (reviving it when dead) every ``probe_interval`` seconds until
 one succeeds. ``/healthz`` reports pool liveness, restart count, and the
 degraded flag. :mod:`repro.chaos` injects all of this deterministically.
 
 Disk-cache lookups are small synchronous JSON reads performed on the
-event loop; at this service's request sizes that is far below the
-batching window. Revisit with ``run_in_executor`` if entries ever grow.
+event loop; at this service's request sizes that costs far less than a
+pool round trip. Revisit with ``run_in_executor`` if entries ever grow.
 """
 
 from __future__ import annotations
@@ -79,20 +79,15 @@ _LOG = logging.getLogger("repro.serve")
 #: Defaults for the service knobs (also the CLI defaults).
 DEFAULT_LRU_SIZE = 256
 DEFAULT_QUEUE_LIMIT = 64
-DEFAULT_BATCH_MAX = 8
-DEFAULT_BATCH_WINDOW = 0.005
 DEFAULT_RETRY_AFTER = 1
 
 #: Per-request deadline. Generous on purpose: its job is to bound a
 #: wedged pool, not to race healthy presets. ``None`` disables it.
 DEFAULT_REQUEST_TIMEOUT = 60.0
 
-#: While degraded, at most one probe batch per this many seconds is sent
+#: While degraded, at most one probe chunk per this many seconds is sent
 #: to the pool; everything else computes inline.
 DEFAULT_PROBE_INTERVAL = 1.0
-
-#: Sentinel the drain path enqueues to stop the batching scheduler.
-_STOP = object()
 
 
 # -- canonical response serialization ------------------------------------------
@@ -144,7 +139,7 @@ def error_bytes(message: str) -> bytes:
     return canonical_bytes({"error": message, "field": None, "suggestions": []})
 
 
-# -- worker-side batch execution -----------------------------------------------
+# -- worker-side chunk execution -----------------------------------------------
 
 
 def run_serve_chunk(
@@ -161,8 +156,8 @@ def run_serve_chunk(
     - ``("run", message)`` — the simulation itself failed; a server
       error.
 
-    Per-item isolation matters: one bad spec in a batch must not poison
-    its batchmates' results.
+    Per-item isolation matters: one bad spec in a multi-spec chunk (a
+    pool warm-up, say) must not poison the other specs' results.
     """
     results: list[tuple[str, Any]] = []
     for spec in specs:
@@ -314,7 +309,7 @@ class ServeResult:
 
 @dataclass
 class _Pending:
-    """One queued compute: its key, spec, and the future waiters share."""
+    """One computation in flight: key, spec, and the future waiters share."""
 
     key: str
     spec: ScenarioSpec
@@ -332,8 +327,8 @@ class ScenarioService:
     Lifecycle: construct, ``await start()`` inside a running event loop,
     serve via :meth:`submit_payload`/:meth:`submit_spec`, then
     ``await drain()`` — which stops accepting fresh compute, finishes
-    everything already queued, resolves every waiter, and releases the
-    pool. Cache hits keep being served during and after a drain.
+    everything in flight, resolves every waiter, and releases the pool.
+    Cache hits keep being served during and after a drain.
     """
 
     def __init__(
@@ -343,8 +338,6 @@ class ScenarioService:
         cache: ResultCache | None = None,
         lru_size: int = DEFAULT_LRU_SIZE,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        batch_max: int = DEFAULT_BATCH_MAX,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         retry_after: int = DEFAULT_RETRY_AFTER,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
         probe_interval: float = DEFAULT_PROBE_INTERVAL,
@@ -355,12 +348,6 @@ class ScenarioService:
         if queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {queue_limit}"
-            )
-        if batch_max < 1:
-            raise ConfigurationError(f"batch_max must be >= 1, got {batch_max}")
-        if batch_window < 0:
-            raise ConfigurationError(
-                f"batch_window must be >= 0, got {batch_window}"
             )
         if request_timeout is not None and request_timeout <= 0:
             raise ConfigurationError(
@@ -375,8 +362,6 @@ class ScenarioService:
         self._cache = cache
         self.lru = LruCache(lru_size)
         self.queue_limit = queue_limit
-        self.batch_max = batch_max
-        self.batch_window = batch_window
         self.retry_after = retry_after
         self.request_timeout = request_timeout
         self.probe_interval = probe_interval
@@ -387,10 +372,6 @@ class ScenarioService:
         self._inflight: dict[
             str, "asyncio.Future[tuple[str, Any, str | None]]"
         ] = {}
-        # Unbounded queue + explicit qsize() bound: the drain sentinel
-        # must always be enqueuable, even at saturation.
-        self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
-        self._batcher: "asyncio.Task[None] | None" = None
         self._batch_tasks: set["asyncio.Task[None]"] = set()
         self._draining = False
 
@@ -400,29 +381,13 @@ class ScenarioService:
     def draining(self) -> bool:
         return self._draining
 
-    def queue_depth(self) -> int:
-        return self._queue.qsize()
-
     async def start(self) -> None:
-        """Start the batching scheduler (idempotent; needs a live loop)."""
-        if self._batcher is None:
-            self._draining = False
-            if self._queue.empty():
-                # asyncio.Queue binds to whichever loop first touches
-                # it; a fresh queue lets a drained service restart on a
-                # new loop (tests, re-embedding). A non-empty queue is
-                # kept — its waiters enqueued before start() on this
-                # same loop.
-                self._queue = asyncio.Queue()
-            self._batcher = asyncio.ensure_future(self._batch_loop())
+        """Accept fresh compute again (idempotent)."""
+        self._draining = False
 
     async def drain(self) -> None:
-        """Finish queued work, resolve every waiter, release the pool."""
+        """Finish work in flight, resolve every waiter, release the pool."""
         self._draining = True
-        if self._batcher is not None:
-            self._queue.put_nowait(_STOP)
-            await self._batcher
-            self._batcher = None
         if self._batch_tasks:
             await asyncio.gather(*list(self._batch_tasks))
         self._pool.shutdown(wait=True)
@@ -457,12 +422,13 @@ class ScenarioService:
         return await self.submit_spec(spec)
 
     async def submit_spec(self, spec: ScenarioSpec) -> ServeResult:
-        """Serve one validated spec (cache → dedup → batched compute)."""
+        """Serve one validated spec (cache → dedup → pooled compute)."""
         self.stats.requests += 1
         key = spec.content_hash()
         # NOTE: no ``await`` between here and the in-flight registration
-        # below — the dedup guarantee (one compute per key) relies on
-        # this whole lookup path being one atomic event-loop step.
+        # and dispatch below — the dedup guarantee (one compute per key)
+        # relies on this whole lookup path being one atomic event-loop
+        # step.
         body = self.lru.get(key)
         if body is not None:
             self.stats.lru_hits += 1
@@ -490,13 +456,13 @@ class ScenarioService:
                 scenario=key,
                 retry_after=self.retry_after,
             )
-        if self._queue.qsize() >= self.queue_limit:
+        if len(self._inflight) >= self.queue_limit:
             self.stats.rejected += 1
             return ServeResult(
                 503,
                 error_bytes(
                     f"service saturated ({self.queue_limit} computations "
-                    "queued); retry later"
+                    "in flight); retry later"
                 ),
                 scenario=key,
                 retry_after=self.retry_after,
@@ -505,7 +471,7 @@ class ScenarioService:
             asyncio.get_running_loop().create_future()
         )
         self._inflight[key] = future
-        self._queue.put_nowait(_Pending(key=key, spec=spec, future=future))
+        self._dispatch([_Pending(key=key, spec=spec, future=future)])
         outcome = await self._await_outcome(future)
         if outcome is None:
             return self._timeout_result(key)
@@ -555,44 +521,15 @@ class ScenarioService:
             500, error_bytes(str(value)), scenario=key, source=source
         )
 
-    # -- batching scheduler ----------------------------------------------------
-
-    async def _batch_loop(self) -> None:
-        """Coalesce queued misses into chunks; dispatch without blocking.
-
-        Each chunk is handed to the pool and *resolved by a separate
-        task*, so the scheduler keeps forming the next batch while the
-        previous one computes — batches stream through the pool's
-        workers rather than lock-stepping with them.
-        """
-        loop = asyncio.get_running_loop()
-        stopping = False
-        while not stopping:
-            item = await self._queue.get()
-            if item is _STOP:
-                break
-            batch = [item]
-            deadline = loop.time() + self.batch_window
-            while len(batch) < self.batch_max:
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(
-                            self._queue.get(), remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                if nxt is _STOP:
-                    stopping = True
-                    break
-                batch.append(nxt)
-            self._dispatch(batch)
+    # -- compute dispatch ------------------------------------------------------
 
     def _dispatch(self, batch: list[_Pending]) -> None:
+        """Hand a chunk to the pool; a separate task resolves it.
+
+        :meth:`submit_spec` calls this with one item per miss, in the
+        same event-loop step that registers it in flight. The pool never
+        blocks on compute, so the request path does not either.
+        """
         self.stats.batches += 1
         specs = [item.spec for item in batch]
         if not self._pool_ready():
@@ -636,16 +573,16 @@ class ScenarioService:
                 self._settle(item, ("run", message, None))
             return
         if self._degraded:
-            # A probe batch came back: the pool is healthy again.
+            # A probe came back: the pool is healthy again.
             self._degraded = False
             self.stats.recoveries += 1
             _LOG.warning("worker pool recovered; leaving degraded mode")
         self._complete(batch, results, source=None)
 
     def _pool_ready(self) -> bool:
-        """Breaker gate: may this batch try the pool?
+        """Breaker gate: may this chunk try the pool?
 
-        Healthy: always. Degraded: at most one probe batch per
+        Healthy: always. Degraded: at most one probe chunk per
         ``probe_interval`` goes to the pool — reviving a dead
         :class:`~repro.runner.parallel.PersistentPool` first — and
         everything else computes inline until a probe succeeds.
@@ -768,7 +705,6 @@ class ScenarioService:
             lru_entries=len(self.lru),
             lru_limit=self.lru.limit,
             lru_evictions=self.lru.evictions,
-            queue_depth=self.queue_depth(),
             queue_limit=self.queue_limit,
             in_flight=len(self._inflight),
             draining=self._draining,

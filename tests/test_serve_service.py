@@ -9,11 +9,13 @@ identity) and ``test_serve_http.py`` (the wire).
 
 import asyncio
 import json
+from concurrent.futures import Future
 
 import pytest
 
+import repro.serve.service as service_module
 from repro.errors import ConfigurationError
-from repro.runner.parallel import ResultCache
+from repro.runner.parallel import PersistentPool, ResultCache
 from repro.scenario import preset
 from repro.serve.service import (
     InlinePool,
@@ -38,6 +40,33 @@ def make_service(**overrides):
     options = dict(pool=InlinePool(), chunk_runner=fake_chunk_runner)
     options.update(overrides)
     return ScenarioService(**options)
+
+
+class HeldPool:
+    """A pool double whose chunk futures stay pending until released.
+
+    Computations stay in flight for as long as a test needs, so the
+    bound on them is observed without racing a real worker.
+    """
+
+    workers = 1
+    unwrap = staticmethod(PersistentPool.unwrap)
+
+    def __init__(self):
+        self.held = []
+
+    def submit(self, run, point):
+        future = Future()
+        self.held.append((future, run, point))
+        return future
+
+    def release(self):
+        for future, run, point in self.held:
+            future.set_result((True, run(point)))
+        self.held.clear()
+
+    def shutdown(self, *, wait=True):
+        pass
 
 
 def serve(service, *specs):
@@ -168,21 +197,26 @@ class TestDiskCacheLayer:
 
 class TestBackpressure:
     def test_saturated_queue_answers_503_with_retry_after(self):
-        service = make_service(queue_limit=2, retry_after=7)
+        pool = HeldPool()
+        service = make_service(pool=pool, queue_limit=2, retry_after=7)
 
         async def scenario():
-            # No start(): the batcher isn't draining, so submissions sit
-            # in the queue and saturation is deterministic.
+            await service.start()
             waiters = [
                 asyncio.ensure_future(service.submit_spec(spec_with_seed(i)))
                 for i in range(2)
             ]
-            for _ in range(3):
-                await asyncio.sleep(0)  # let them reach their enqueue
-            assert service.queue_depth() == 2
+            await asyncio.sleep(0)  # both reach the pool
+            assert len(pool.held) == 2
+            # At the bound: a fresh miss is refused, but a request for
+            # a key already in flight joins it instead.
             rejected = await service.submit_spec(spec_with_seed(99))
-            await service.start()  # now drain the backlog
-            served = await asyncio.gather(*waiters)
+            joined = asyncio.ensure_future(
+                service.submit_spec(spec_with_seed(0))
+            )
+            await asyncio.sleep(0)
+            pool.release()
+            served = await asyncio.gather(*waiters, joined)
             await service.drain()
             return rejected, served
 
@@ -190,8 +224,44 @@ class TestBackpressure:
         assert rejected.status == 503
         assert rejected.retry_after == 7
         assert b"saturated" in rejected.body
-        assert [r.status for r in served] == [200, 200]
+        assert b"in flight" in rejected.body
+        assert [r.status for r in served] == [200, 200, 200]
+        assert served[2].source == "dedup"
+        assert served[2].body == served[0].body
         assert service.stats.rejected == 1
+        assert service.stats.computed == 2
+
+    def test_bound_counts_computations_in_flight_on_a_started_service(self):
+        # Misses submitted one after another, with time in between,
+        # stay in flight while the pool holds them; the third distinct
+        # one is over the bound.
+        pool = HeldPool()
+        service = make_service(pool=pool, queue_limit=2, retry_after=3)
+
+        async def scenario():
+            await service.start()
+            results = []
+            for seed in range(3):
+                results.append(
+                    asyncio.ensure_future(
+                        service.submit_spec(spec_with_seed(seed))
+                    )
+                )
+                await asyncio.sleep(0.02)
+            # Refused at once, not left waiting behind the held pool.
+            assert results[2].done()
+            third = results[2].result()
+            assert service.stats_payload()["in_flight"] == 2
+            pool.release()
+            first, second = await asyncio.gather(*results[:2])
+            await service.drain()
+            return first, second, third
+
+        first, second, third = asyncio.run(scenario())
+        assert third.status == 503
+        assert third.retry_after == 3
+        assert (first.status, second.status) == (200, 200)
+        assert service.stats_payload()["in_flight"] == 0
 
     def test_draining_rejects_fresh_compute_but_serves_cache(self):
         service = make_service()
@@ -214,10 +284,6 @@ class TestBackpressure:
     def test_bad_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
             make_service(queue_limit=0)
-        with pytest.raises(ConfigurationError):
-            make_service(batch_max=0)
-        with pytest.raises(ConfigurationError):
-            make_service(batch_window=-0.1)
 
 
 class TestValidation:
@@ -302,19 +368,35 @@ class TestValidation:
         assert b"worker exploded" in result.body
         assert service.stats.errors == 1
 
-    def test_per_item_run_error_is_500_without_poisoning_batchmates(self):
+    def test_per_item_run_error_is_500_without_poisoning_batchmates(
+        self, monkeypatch
+    ):
         def mixed(specs):
             return [
                 ("run", "boom") if spec.seed == 1 else ("ok", {"seed": spec.seed})
                 for spec in specs
             ]
 
-        service = make_service(chunk_runner=mixed, batch_max=4)
+        service = make_service(chunk_runner=mixed)
         results = serve(service, spec_with_seed(0), spec_with_seed(1))
-        by_seed = {json.loads(r.body).get("seed"): r for r in results}
-        statuses = sorted(r.status for r in results)
-        assert statuses == [200, 500]
-        assert by_seed.get(0) is not None and by_seed[0].status == 200
+        assert [r.status for r in results] == [200, 500]
+        assert json.loads(results[0].body) == {"seed": 0}
+
+        # Multi-spec chunks still exist (a pool can be warmed with one):
+        # a failing spec must not poison the others in its chunk.
+        real = service_module.run_summary
+
+        def flaky(spec):
+            if spec.seed == 1:
+                raise RuntimeError("boom")
+            return real(spec)
+
+        monkeypatch.setattr(service_module, "run_summary", flaky)
+        good, bad = preset("quickstart"), preset("quickstart").replace(seed=1)
+        (ok, ok_payload), (verdict, message) = run_serve_chunk([good, bad])
+        assert ok == "ok"
+        assert canonical_bytes(ok_payload) == service_module.report_bytes(good)
+        assert (verdict, message) == ("run", "RuntimeError: boom")
 
 
 class TestStatsPayload:
@@ -328,24 +410,8 @@ class TestStatsPayload:
         assert payload["requests"] == 3
         assert payload["computed"] == 2
         assert payload["lru_hits"] + payload["deduped"] == 1
-        assert payload["queue_depth"] == 0
         assert payload["in_flight"] == 0
         assert payload["draining"] is True
         assert payload["disk_cache"] is True
         assert 0.0 <= payload["cache_hit_rate"] <= 1.0
         assert payload["lru_entries"] == 2
-
-    def test_batching_coalesces_up_to_batch_max(self):
-        batches = []
-
-        def recording(specs):
-            batches.append(len(specs))
-            return [("ok", {"seed": spec.seed}) for spec in specs]
-
-        service = make_service(
-            chunk_runner=recording, batch_max=4, batch_window=0.05
-        )
-        serve(service, *(spec_with_seed(i) for i in range(8)))
-        assert sum(batches) == 8
-        assert max(batches) <= 4
-        assert service.stats.batches == len(batches)
