@@ -262,13 +262,8 @@ def _check_batch_segments(ctx: OracleContext) -> str | None:
     medium = ctx.medium
     if medium is None:
         return None
-    # By identity: a memoized round repeats its slots' batch objects.
-    batches = {id(batch): batch for batch in medium._slot_memo.values()}
-    for cached_round in medium._round_memo.values():
-        for slot_batches in cached_round:
-            batches.update((id(batch), batch) for batch in slot_batches)
     neighbors = medium.grid.neighbors_sorted
-    for batch in batches.values():
+    for batch in medium._slot_memo.values():
         if not isinstance(batch, DeliveryBatch):
             return f"memo holds a non-DeliveryBatch {type(batch).__name__}"
         size = corrupted = 0

@@ -51,18 +51,18 @@ class BroadcastNode(ABC):
     Two class-level capability flags feed the driver's batched fast path
     (:mod:`repro.radio.mac`):
 
-    - ``PEEK_STABILITY = "all"`` promises that :meth:`peek_burst` exactly
-      predicts the next ``pop_send`` results for a whole slot burst, and
-      that no ``on_receive`` between the peek and the pops can change
-      them. True here because the pending message/count only change at
-      decide time, and a node with pending sends has already decided.
+    - ``sends_stable = True`` promises that no ``on_receive`` can add a
+      pending send without a decision. True here because the pending
+      message/count only change at decide time, and a node with pending
+      sends has already decided; the driver may then defer a slot's
+      deliveries and stop re-checking owners that ran dry.
     - ``round_end_noop = True`` declares that :meth:`on_round_end` does
       nothing but advance the round counter, so the driver may skip the
       per-node round-end sweep whenever a flat engine stamps rounds at
       decide time instead.
     """
 
-    PEEK_STABILITY = "all"
+    sends_stable = True
     round_end_noop = True
 
     __slots__ = (
@@ -150,17 +150,6 @@ class BroadcastNode(ABC):
             raise ConfigurationError(f"node {self.node_id} has nothing to send")
         self._pending_count -= 1
         return self._pending_msg
-
-    def peek_burst(self, limit: int) -> tuple[Value, MessageKind, int]:
-        """What up to ``limit`` consecutive ``pop_send`` calls would yield.
-
-        Returns ``(value, kind, count)``; the driver's predictable-round
-        path uses it to sign a whole round's traffic without mutating
-        node state (see ``PEEK_STABILITY``).
-        """
-        value, kind = self._pending_msg
-        count = self._pending_count
-        return (value, kind, count if count < limit else limit)
 
     def on_receive(self, sender: NodeId, value: Value, kind: MessageKind) -> None:
         if kind is not MessageKind.DATA:

@@ -61,20 +61,18 @@ from repro.radio.messages import MessageKind
 from repro.types import NodeId, Value
 
 
-class FlatThresholdEngine:
-    """Shared flat state for a run of :class:`ThresholdNode` instances.
+class _FlatEngine:
+    """What both engines share: the bitmaps, batch hits and decisions.
 
-    The live loop maintains only what decisions depend on: per-value
-    counts for *undecided* receivers. Everything else — per-node
-    ``received_total`` and the final ``value_counts`` — is pure
-    accounting, recomputed exactly at :meth:`sync_nodes` from per-batch
-    hit counters (each ``distribute`` call is one O(1) increment), so a
-    decided node costs one bitmap read per delivery instead of three
-    array updates.
+    Each engine keeps its own ``distribute`` (the hot loop, which differs
+    per acceptance rule) and ``sync_nodes``.
     """
 
     def __init__(
-        self, nodes: Mapping[NodeId, ThresholdNode], n: int, threshold: int
+        self,
+        nodes: Mapping[NodeId, ThresholdNode | CpaNode],
+        n: int,
+        threshold: int,
     ) -> None:
         self.n = n
         self.threshold = threshold
@@ -93,12 +91,40 @@ class FlatThresholdEngine:
             else:
                 self._skip[nid] = 0
 
-    def distribute(self, batch, round_index: int, repeat: int = 1) -> None:
+    def _count_batch(self, batch, repeat: int) -> None:
+        """Record ``repeat`` more hits of ``batch`` for :meth:`sync_nodes`."""
         entry = self._batch_hits.get(id(batch))
         if entry is not None and entry[1] is batch:
             entry[0] += repeat
         else:
             self._batch_hits[id(batch)] = [repeat, batch]
+
+    def _decide(self, rec: NodeId, value: Value, round_index: int) -> None:
+        node = self._nodes[rec]
+        # The reference path keeps _current_round fresh via on_round_end;
+        # the engine stamps it at the only moment it is observable.
+        node._current_round = round_index
+        node._decide(value)
+        self.decided[rec] = 1
+        self._skip[rec] = 1
+        if node.has_pending():
+            self.newly_pending.append(rec)
+
+
+class FlatThresholdEngine(_FlatEngine):
+    """Shared flat state for a run of :class:`ThresholdNode` instances.
+
+    The live loop maintains only what decisions depend on: per-value
+    counts for *undecided* receivers. Everything else — per-node
+    ``received_total`` and the final ``value_counts`` — is pure
+    accounting, recomputed exactly at :meth:`sync_nodes` from per-batch
+    hit counters (each ``distribute`` call is one O(1) increment), so a
+    decided node costs one bitmap read per delivery instead of three
+    array updates.
+    """
+
+    def distribute(self, batch, round_index: int, repeat: int = 1) -> None:
+        self._count_batch(batch, repeat)
         skip = self._skip
         threshold = self.threshold
         counts_by_value = self._counts
@@ -125,17 +151,6 @@ class FlatThresholdEngine:
                     counts[rec] = c + repeat
                     if c < threshold <= c + repeat:
                         self._decide(rec, value, round_index)
-
-    def _decide(self, rec: NodeId, value: Value, round_index: int) -> None:
-        node = self._nodes[rec]
-        # The reference path keeps _current_round fresh via on_round_end;
-        # the engine stamps it at the only moment it is observable.
-        node._current_round = round_index
-        node._decide(value)
-        self.decided[rec] = 1
-        self._skip[rec] = 1
-        if node.has_pending():
-            self.newly_pending.append(rec)
 
     def sync_nodes(self) -> None:
         """Write the reference-shape state back into the nodes.
@@ -180,7 +195,7 @@ class FlatThresholdEngine:
                     nodes[rec].value_counts[value] = counts[rec]
 
 
-class FlatCpaEngine:
+class FlatCpaEngine(_FlatEngine):
     """Shared flat state for a run of :class:`CpaNode` instances."""
 
     def __init__(
@@ -190,31 +205,13 @@ class FlatCpaEngine:
         source: NodeId,
         threshold: int,
     ) -> None:
-        self.n = n
+        super().__init__(nodes, n, threshold)  # t + 1 distinct endorsers
         self.source = source
-        self.threshold = threshold  # t + 1 distinct endorsers
-        self._nodes = nodes
-        self.decided = bytearray(n)
-        # 1 = never count here (see FlatThresholdEngine).
-        self._skip = bytearray(b"\x01") * n
-        # value -> distinct-endorser counts; value -> {rec * n + sender}.
-        self._counts: dict[Value, list[int]] = {}
+        # value -> {rec * n + sender}, the distinct endorsers _counts counts.
         self._seen: dict[Value, set[int]] = {}
-        # id(batch) -> [total hits, batch] (see FlatThresholdEngine).
-        self._batch_hits: dict[int, list] = {}
-        self.newly_pending: list[NodeId] = []
-        for nid, node in nodes.items():
-            if node.decided:
-                self.decided[nid] = 1
-            else:
-                self._skip[nid] = 0
 
     def distribute(self, batch, round_index: int, repeat: int = 1) -> None:
-        entry = self._batch_hits.get(id(batch))
-        if entry is not None and entry[1] is batch:
-            entry[0] += repeat
-        else:
-            self._batch_hits[id(batch)] = [repeat, batch]
+        self._count_batch(batch, repeat)
         skip = self._skip
         threshold = self.threshold
         source = self.source
@@ -244,15 +241,6 @@ class FlatCpaEngine:
                 counts[rec] = c
                 if c >= threshold:
                     self._decide(rec, value, round_index)
-
-    def _decide(self, rec: NodeId, value: Value, round_index: int) -> None:
-        node = self._nodes[rec]
-        node._current_round = round_index
-        node._decide(value)
-        self.decided[rec] = 1
-        self._skip[rec] = 1
-        if node.has_pending():
-            self.newly_pending.append(rec)
 
     def sync_nodes(self) -> None:
         """Rebuild each node's dict-of-sets endorsements from flat state."""

@@ -57,13 +57,11 @@ class ReactivePhase(enum.Enum):
 class ReactiveNode:
     """Honest node of B_reactive (drives on the slotted MAC).
 
-    ``PEEK_STABILITY = "head"``: only the queue's head is stable across
-    mid-round receives (they may append NACKs/data behind it), so the
-    driver's predictable-round path engages only at
-    ``batch_per_slot == 1`` — which is what reactive scenarios use.
+    Deliberately not ``sends_stable``: a receive may append a NACK or a
+    retransmission to the queue of a node that has already sent, so the
+    driver keeps eager flushes and full owner re-scans while the
+    adversary can still transmit.
     """
-
-    PEEK_STABILITY = "head"
 
     __slots__ = (
         "node_id",
@@ -154,13 +152,6 @@ class ReactiveNode:
 
     def has_pending(self) -> bool:
         return bool(self._queue)
-
-    def peek_burst(self, limit: int) -> tuple[Value, MessageKind, int]:
-        """The next send, without dequeueing (head-stable only; see class)."""
-        if not self._queue or limit < 1:
-            return (0, MessageKind.DATA, 0)
-        value, kind = self._queue[0]
-        return (value, kind, 1)
 
     def pop_send(self) -> tuple[Value, MessageKind]:
         if not self._queue:

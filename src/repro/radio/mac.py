@@ -38,12 +38,12 @@ needlessly:
   an adversary whose class declares ``observe_stateless = True``
   (``on_slot``/``observe`` neither read nor record anything
   observable) or an adversary that is out of budget (then ``observe``
-  still runs, once per deferred burst, at flush time);
-- **whole-round memo** — when the adversary is inactive and every node
-  class can ``peek_burst`` its sends stably (``PEEK_STABILITY``), the
-  round's entire transmission pattern is signed up front and repeated
-  rounds replay their resolved delivery batches from
-  :meth:`~repro.radio.medium.Medium.round_memo_get` in one dict hit.
+  still runs, once per deferred burst, at flush time).
+
+Each slot of the batched loop resolves through
+:meth:`~repro.radio.medium.Medium.resolve_slot`, whose slot memo hands
+back the same batch object for an equal input, so repeated rounds
+(relay plateaus, retransmission waves) cost one dict hit per slot.
 
 The batched loop emits no per-delivery trace events, so a driver with
 an enabled tracer must be built with ``fast=False``; anything else is a
@@ -76,14 +76,12 @@ _NO_BYZ: list[BadTransmission] = []
 class ProtocolNodeLike(Protocol):
     """What the driver needs from an honest protocol node.
 
-    Optional extras the fast path exploits when present (see
-    :class:`~repro.protocols.base.BroadcastNode`): a ``PEEK_STABILITY``
-    class attribute (``"all"`` — ``peek_burst`` exactly predicts a whole
-    slot burst; ``"head"`` — only the first send is stable, so the
-    predictable-round path requires ``batch_per_slot == 1``) together
-    with a ``peek_burst(limit) -> (value, kind, count)`` method, and a
-    ``round_end_noop`` class attribute declaring ``on_round_end`` free
-    of protocol logic.
+    Optional class attributes the fast path exploits when present (see
+    :class:`~repro.protocols.base.BroadcastNode`): ``sends_stable =
+    True`` promises that no ``on_receive`` can add a pending send to a
+    node without a decision, and ``round_end_noop = True`` declares
+    ``on_round_end`` free of protocol logic. Both default to the
+    conservative setting when absent.
     """
 
     def has_pending(self) -> bool:
@@ -242,25 +240,15 @@ class RoundDriver:
         # and memo-key hashing cheap.
         self._tx_cache: list[Transmission | None] = [None] * grid.n
         self._occupied: list[int] = []
-        # Per-slot front cache over the medium memo: relay plateaus
-        # repeat one slot's exact inputs across consecutive rounds, and
-        # identity-stable transmissions make the equality check cheaper
-        # than re-hashing the memo key.
-        self._slot_last: list[tuple | None] = [None] * self.schedule.period
         node_classes = {type(node) for node in nodes.values()}
-        stabilities = {
-            getattr(cls, "PEEK_STABILITY", None) for cls in node_classes
-        }
-        self._peek_ok = bool(nodes) and (
-            stabilities == {"all"}
-            or (stabilities <= {"all", "head"} and batch_per_slot == 1)
-        )
-        # "all"-stable nodes (BroadcastNode family) can never gain new
+        # Stable-send nodes (BroadcastNode family) can never gain new
         # pending sends from a mid-slot receive; queue-based nodes can
         # (a jam delivered to an already-drained co-owner enqueues a
         # NACK), which constrains burst dedup and sender compaction
         # whenever the adversary is still able to transmit.
-        self._sends_stable = bool(nodes) and stabilities == {"all"}
+        self._sends_stable = bool(nodes) and all(
+            getattr(cls, "sends_stable", False) for cls in node_classes
+        )
         self._skip_round_end = engine is not None and all(
             getattr(cls, "round_end_noop", False) for cls in node_classes
         )
@@ -359,27 +347,17 @@ class RoundDriver:
                 if len(bucket) > 1:
                     bucket.sort()
 
-        if not active and self._peek_ok:
-            return self._run_round_predictable(round_index)
-
         consult_empty = active and self._spontaneous
         slots = range(self.schedule.period) if consult_empty else occupied
-        return self._run_slot_loop(round_index, slots, active, None)
+        return self._run_slot_loop(round_index, slots, active)
 
-    def _run_slot_loop(
-        self, round_index: int, slots, active: bool, record: list | None
-    ) -> bool:
-        """One round, slot by slot, with per-slot burst dedup.
-
-        ``record`` (predictable rounds only) collects each occupied
-        slot's per-burst batch sequence for the whole-round memo.
-        """
+    def _run_slot_loop(self, round_index: int, slots, active: bool) -> bool:
+        """One round, slot by slot, with per-slot burst dedup."""
         ledger = self.ledger
         nodes = self.nodes
         adversary = self.adversary
         by_slot = self._slot_buckets
         tx_cache = self._tx_cache
-        slot_last = self._slot_last
         stats = self.stats
         per_kind = stats.per_kind_honest
         # Burst dedup defers delivery distribution to the end of a
@@ -388,7 +366,7 @@ class RoundDriver:
         # mid-slot deliveries: the adversary must not look (it is
         # inactive, or observe_stateless by contract) AND no bucketed
         # sender may *become* pending from a receive (sends are
-        # "all"-stable, or there is a single burst per slot, or no
+        # stable, or there is a single burst per slot, or no
         # Byzantine transmission can reach a drained co-owner because
         # the adversary is inactive). With an inactive adversary,
         # observe still re-fires once per deferred burst at flush time.
@@ -407,7 +385,6 @@ class RoundDriver:
             # both conditions are then monotone within a slot (budgets
             # only shrink, and no receive can re-arm a drained owner).
             senders = by_slot[slot]
-            slot_batches: list | None = [] if record is not None else None
             prev_honest: list[Transmission] | None = None
             prev_byz: list[BadTransmission] | None = None
             pending_batch = None
@@ -454,17 +431,9 @@ class RoundDriver:
                 if not dedup:
                     # A stateful-observe adversary must see each burst's
                     # deliveries before its next on_slot: flush eagerly.
-                    # (record implies an inactive adversary, hence dedup,
-                    # so round recording never takes this branch.)
-                    last = slot_last[slot]
-                    if last is not None and (
-                        honest_txs == last[0] and byz_txs == last[1]
-                    ):
-                        batch = last[2]
-                    else:
-                        batch = self._resolve(honest_txs, byz_txs)
-                        slot_last[slot] = (honest_txs, byz_txs, batch)
-                    self._flush(batch, 1, round_index)
+                    self._flush(
+                        self._resolve(honest_txs, byz_txs), 1, round_index
+                    )
                     continue
                 if pending_batch is not None and (
                     honest_txs == prev_honest and byz_txs == prev_byz
@@ -473,23 +442,12 @@ class RoundDriver:
                 else:
                     if pending_batch is not None:
                         self._flush(pending_batch, multiplicity, round_index)
-                    last = slot_last[slot]
-                    if last is not None and (
-                        honest_txs == last[0] and byz_txs == last[1]
-                    ):
-                        pending_batch = last[2]
-                    else:
-                        pending_batch = self._resolve(honest_txs, byz_txs)
-                        slot_last[slot] = (honest_txs, byz_txs, pending_batch)
+                    pending_batch = self._resolve(honest_txs, byz_txs)
                     prev_honest = honest_txs
                     prev_byz = byz_txs
                     multiplicity = 1
-                if slot_batches is not None:
-                    slot_batches.append(pending_batch)
             if pending_batch is not None:
                 self._flush(pending_batch, multiplicity, round_index)
-            if record is not None and slot_batches:
-                record.append(tuple(slot_batches))
 
         if data_count:
             per_kind[data_kind] += data_count
@@ -536,86 +494,6 @@ class RoundDriver:
             observe = self.adversary.observe
             for _ in range(multiplicity):
                 observe(batch)
-
-    # -- predictable rounds (whole-round memo) -------------------------------
-
-    def _round_signature(self) -> tuple:
-        """Sign this round's entire honest traffic without mutating state.
-
-        Only valid when the adversary is inactive and every node's
-        ``peek_burst`` is stable for the round (``PEEK_STABILITY``): the
-        signature then fully determines every burst of every occupied
-        slot, because bucketed senders cannot receive anything during
-        their own slot (TDMA puts co-owners out of range) and peeked
-        sends survive mid-round receives by contract.
-        """
-        ledger = self.ledger
-        nodes = self.nodes
-        by_slot = self._slot_buckets
-        batch = self.batch_per_slot
-        parts = []
-        for slot in self._occupied:
-            entries = []
-            for nid in by_slot[slot]:
-                value, kind, count = nodes[nid].peek_burst(batch)
-                remaining = ledger.remaining(nid)
-                if remaining is not None and remaining < count:
-                    count = remaining
-                if count:
-                    entries.append((nid, value, kind, count))
-            if entries:
-                parts.append((slot, tuple(entries)))
-        return tuple(parts)
-
-    def _run_round_predictable(self, round_index: int) -> bool:
-        signature = self._round_signature()
-        if not signature:
-            # A silent round: nothing to send anywhere, but round-end
-            # hooks (timers, quiet windows) still fire.
-            if not self._skip_round_end:
-                nodes = self.nodes
-                for nid in self._honest_ids:
-                    nodes[nid].on_round_end(round_index)
-            return False
-        cached = self.medium.round_memo_get(signature)
-        if cached is not None:
-            self._replay_round(round_index, signature, cached)
-            return True
-        record: list[tuple] = []
-        transmitted = self._run_slot_loop(
-            round_index, self._occupied, False, record
-        )
-        self.medium.round_memo_put(signature, tuple(record))
-        return transmitted
-
-    def _replay_round(
-        self, round_index: int, signature: tuple, cached: tuple
-    ) -> None:
-        """Re-enact a memoized round: state changes, no re-resolution."""
-        ledger = self.ledger
-        nodes = self.nodes
-        stats = self.stats
-        per_kind = stats.per_kind_honest
-        for (slot, entries), batches in zip(signature, cached):
-            for nid, _value, kind, count in entries:
-                node = nodes[nid]
-                for _ in range(count):
-                    node.pop_send()
-                ledger.charge(nid, count)
-                stats.honest_transmissions += count
-                per_kind[kind] += count
-            index = 0
-            total = len(batches)
-            while index < total:
-                batch = batches[index]
-                end = index + 1
-                while end < total and batches[end] is batch:
-                    end += 1
-                self._flush(batch, end - index, round_index)
-                index = end
-        if not self._skip_round_end:
-            for nid in self._honest_ids:
-                nodes[nid].on_round_end(round_index)
 
     # -- reference round loop ------------------------------------------------
 

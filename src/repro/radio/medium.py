@@ -83,12 +83,9 @@ byte-for-byte identical delivery lists.
 Batches are immutable (segments and views are tuples), and memo hits
 return the *same cached batch object* rather than a fresh copy, which
 lets the round driver and the flat protocol engines key per-batch
-accounting by ``id(batch)`` while holding the batch alive. A
-:class:`Medium` also owns the *whole-round memo*
-(:meth:`round_memo_get` / :meth:`round_memo_put`): the driver keys a
-steady-state round's entire transmission pattern by the tuple of its
-slot signatures, so repeated rounds (silent rounds, relay plateaus,
-repeated retransmission waves) resolve in one dict hit.
+accounting by ``id(batch)`` while holding the batch alive. Rounds are
+not memoized whole: a repeated round (a relay plateau, a retransmission
+wave) costs one slot-memo hit per occupied slot.
 
 ``spoof_sender`` hygiene: an apparent sender outside the grid raises
 :class:`~repro.errors.ConfigurationError` (an adversary bug, not an
@@ -110,9 +107,6 @@ from repro.types import NodeId, Value
 #: population, but keeps a pathological transmission stream from growing
 #: the memo without bound (the memo is simply dropped when full).
 _SLOT_MEMO_LIMIT = 2048
-
-#: Whole-round memo bound (each entry holds one round's batch tuple).
-_ROUND_MEMO_LIMIT = 512
 
 #: Delivery-row bound, counted in deliveries held rather than rows so it
 #: does not depend on ``r`` (the rows are dropped wholesale when a new
@@ -340,10 +334,6 @@ class Medium:
         # input, including list order (which breaks equal-id Byzantine
         # ties). Hits return the cached batch itself (no copy).
         self._slot_memo: dict[tuple, DeliveryBatch] = {}
-        # Whole-round memo: round signature -> whatever the driver stored
-        # (a tuple of per-slot sender specs and batch tuples). Owned here
-        # so warm Medium instances carry it across runs of one grid.
-        self._round_memo: dict[tuple, tuple] = {}
         # (sender, value, kind) -> that transmission's uncollided
         # deliveries, one per receiver in neighbors_sorted(sender) order.
         # _row_deliveries counts the deliveries held, for the bound.
@@ -384,17 +374,14 @@ class Medium:
         self._slot_memo[key] = batch
         return batch
 
-    # -- whole-round memo --------------------------------------------------
+    def round_memo_get(self, signature: tuple) -> None:
+        """Always ``None``: rounds are not memoized whole.
 
-    def round_memo_get(self, signature: tuple) -> tuple | None:
-        """Look up a previously stored round by its transmission signature."""
-        return self._round_memo.get(signature)
-
-    def round_memo_put(self, signature: tuple, value: tuple) -> None:
-        """Store one resolved round (bounded; dropped wholesale when full)."""
-        if len(self._round_memo) >= _ROUND_MEMO_LIMIT:
-            self._round_memo.clear()
-        self._round_memo[signature] = value
+        No program code calls this. ``perfbench`` still wraps it by name
+        to count ``radio.round_memo``, so it stays (like
+        :class:`BatchPlanCache`) until the benchmark stops naming it.
+        """
+        return None
 
     # -- fast path ---------------------------------------------------------
 

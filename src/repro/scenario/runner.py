@@ -50,7 +50,7 @@ def _world_for(spec: ScenarioSpec):
 
     The medium cache key includes the (monkeypatchable) medium class so
     recording test setups never receive a stale instance; sharing the
-    slot/round memos across runs of one grid is sound because delivery
+    slot memo across runs of one grid is sound because delivery
     resolution depends only on the grid and the transmissions, never on
     placement or protocol state.
     """

@@ -103,8 +103,8 @@ SEAMS = (
         fast="repro.radio.mac.RoundDriver._run_round_fast",
         reference="repro.radio.mac.RoundDriver._run_round_reference",
         differential_test="tests/test_scenario_fastpath.py",
-        description="batched round loop (burst dedup, whole-round memo) "
-        "vs the per-delivery reference loop",
+        description="batched round loop (burst dedup, sender compaction, "
+        "budget-gated consultation) vs the per-delivery reference loop",
     ),
     Seam(
         name="slot-resolver",
