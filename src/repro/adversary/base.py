@@ -33,6 +33,13 @@ class Adversary(ABC):
       kernel (:mod:`repro.protocols.vectorized`) requires one of these
       two flags (or an un-overridden ``observe``) to engage.
 
+    Fast-path hook (see :class:`~repro.radio.mac.AdversaryLike`):
+
+    - :meth:`quiet_bursts`: override on stateful-``observe`` subclasses
+      that can promise to let further bursts identical to the last
+      ``on_slot`` input through; the driver then coalesces them
+      without calling ``on_slot``. The default, 0, promises nothing.
+
     Additionally, every adversary must satisfy the driver contract that
     ``on_slot`` is an effect-free ``[]`` once no bad node has ledger
     budget left (the driver stops consulting it then).
@@ -48,8 +55,12 @@ class Adversary(ABC):
     ) -> list[BadTransmission]:
         """Byzantine transmissions for this slot."""
 
-    def observe(self, deliveries: DeliveryBatch) -> None:
+    def observe(self, deliveries: DeliveryBatch, repeat: int = 1) -> None:
         """Default: ignore (stateless adversaries)."""
+
+    def quiet_bursts(self) -> int:
+        """Default: no promise beyond the last ``on_slot`` call."""
+        return 0
 
     def has_pending(self) -> bool:
         """Default: purely reactive — never keeps a run alive by itself."""

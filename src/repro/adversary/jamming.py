@@ -13,10 +13,31 @@ values), so with the Theorem-1/Figure-2 placements the stripe windows'
 ``t * mf`` budget suffices to starve the frontier whenever ``m < m0`` —
 and provably cannot when ``m >= 2*m0``, which is what experiments E1-E3
 demonstrate.
+
+The jammer also tells the batched round loop how lazy it is about to be.
+When a call to :meth:`ThresholdGuardJammer.on_slot` finds nobody at
+risk, :meth:`~ThresholdGuardJammer.quiet_bursts` is the number of
+further identical bursts it is certain to let through: a jam-free burst
+adds exactly one clean copy at each receiver of a ``Vtrue`` DATA
+transmission (honest senders of one slot share no receiver), so a
+receiver with ``clean`` copies stays below the tip for
+``threshold - 2 - clean`` more repeats, and decisions only shrink the
+set being watched. The driver coalesces those repeats into one resolve,
+one distribution and one ``observe(batch, repeat)`` without consulting
+``on_slot`` again.
+
+The neighborhood tables are built from the sparse side: each protected
+receiver's ball lists it as a protected neighbor of every sender in it,
+and each bad node's ball lists it as a candidate jammer of every
+protected receiver in it (the neighbor relation is symmetric). Their
+order differs from a per-sender filter of the grid's neighbor lists,
+which cannot change the output: the greedy cover's choice is a total
+order and its result is emitted sorted.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterable, Mapping
 
 from repro.adversary.base import Adversary
@@ -93,11 +114,15 @@ class ThresholdGuardJammer(Adversary):
         # clean[w] = uncorrupted Vtrue copies delivered to w so far
         # (flat, id-indexed — consulted on every at-risk check).
         self._clean: list[int] = [0] * grid.n
-        # bad neighbors (within r) of each protected receiver, cached lazily
-        self._bad_near: dict[NodeId, tuple[NodeId, ...]] = {}
-        # protected neighbors of each sender, cached lazily (the at-risk
-        # scan then touches only candidates instead of the whole ball)
-        self._protected_near: dict[NodeId, tuple[NodeId, ...]] = {}
+        # Neighborhood tables, built on first use (a jammer that never
+        # runs, as on the vectorized kernel, never pays for them):
+        # protected neighbors of each sender, so the at-risk scan
+        # touches only candidates instead of the whole ball, and bad
+        # neighbors of each protected receiver. Absent: none.
+        self._protected_near: dict[NodeId, tuple[NodeId, ...]] | None = None
+        self._bad_near: dict[NodeId, tuple[NodeId, ...]] | None = None
+        # further identical bursts the last on_slot is certain to let through
+        self._quiet = 0
         self.jams = 0
 
     def bind_decided(self, nodes: Mapping[NodeId, object]) -> None:
@@ -110,59 +135,72 @@ class ThresholdGuardJammer(Adversary):
 
     # -- helpers ---------------------------------------------------------------
 
-    def _bad_neighbors_of(self, receiver: NodeId) -> tuple[NodeId, ...]:
-        cached = self._bad_near.get(receiver)
-        if cached is None:
-            cached = tuple(
-                nb for nb in self.grid.neighbors(receiver) if self.table.is_bad(nb)
-            )
-            self._bad_near[receiver] = cached
-        return cached
+    def _protected_neighbors(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        near = self._protected_near
+        if near is None:
+            rows: list[list[NodeId]] = [[] for _ in range(self.grid.n)]
+            for receiver in sorted(self.protected):
+                for sender in self.grid.neighbors(receiver):
+                    rows[sender].append(receiver)
+            near = {sender: tuple(row) for sender, row in enumerate(rows) if row}
+            self._protected_near = near
+        return near
 
-    def _protected_neighbors_of(self, sender: NodeId) -> tuple[NodeId, ...]:
-        cached = self._protected_near.get(sender)
-        if cached is None:
+    def _bad_neighbors(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        near = self._bad_near
+        if near is None:
             protected = self._protected_mask
-            cached = tuple(
-                nb for nb in self.grid.neighbors(sender) if protected[nb]
-            )
-            self._protected_near[sender] = cached
-        return cached
-
-    def _at_risk_receivers(self, victim: Transmission) -> list[NodeId]:
-        """Protected, undecided receivers whom this delivery would tip over."""
-        at_risk = []
-        clean = self._clean
-        bits = self._decided_bits
-        tip = self.threshold - 1
-        for receiver in self._protected_neighbors_of(victim.sender):
-            if bits is not None:
-                if bits[receiver]:
-                    continue
-            elif self._decided_fn(receiver):
-                continue
-            if clean[receiver] >= tip:
-                at_risk.append(receiver)
-        return at_risk
+            rows: dict[NodeId, list[NodeId]] = {}
+            for jammer in self.table.bad_ids:
+                for receiver in self.grid.neighbors(jammer):
+                    if protected[receiver]:
+                        rows.setdefault(receiver, []).append(jammer)
+            near = {receiver: tuple(row) for receiver, row in rows.items()}
+            self._bad_near = near
+        return near
 
     # -- AdversaryLike ------------------------------------------------------------
 
     def on_slot(
         self, round_index: int, slot: int, honest: list[Transmission]
     ) -> list[BadTransmission]:
+        self._quiet = 0
         if not honest:
             return []
-        # (receiver, set of candidate jammers) pairs still needing coverage.
-        pending: dict[NodeId, tuple[NodeId, ...]] = {}
+        # Protected, undecided receivers whom this slot's Vtrue deliveries
+        # would tip over; every other such receiver of a DATA victim
+        # bounds the quiet horizon by its room below the tip.
+        at_risk: list[NodeId] = []
+        least_room = sys.maxsize
+        clean = self._clean
+        bits = self._decided_bits
+        decided = self._decided_fn
+        protected_near = self._protected_neighbors()
+        tip = self.threshold - 1
+        data = MessageKind.DATA
         for victim in honest:
             if victim.value != self.vtrue:
                 continue
-            for receiver in self._at_risk_receivers(victim):
-                pending.setdefault(receiver, self._bad_neighbors_of(receiver))
+            counted = victim.kind is data
+            for receiver in protected_near.get(victim.sender, ()):
+                if bits is not None:
+                    if bits[receiver]:
+                        continue
+                elif decided(receiver):
+                    continue
+                room = tip - clean[receiver]
+                if room <= 0:
+                    at_risk.append(receiver)
+                elif counted and room < least_room:
+                    least_room = room
 
-        if not pending:
+        if not at_risk:
+            self._quiet = least_room - 1
             return []
 
+        # (receiver, candidate jammers) pairs still needing coverage.
+        bad_near = self._bad_neighbors()
+        pending = {receiver: bad_near.get(receiver, ()) for receiver in at_risk}
         chosen: set[NodeId] = set()
         # Greedy set cover: repeatedly pick the budgeted bad node covering
         # the most still-uncovered at-risk receivers.
@@ -194,17 +232,24 @@ class ThresholdGuardJammer(Adversary):
             for jammer in sorted(chosen)
         ]
 
-    def observe(self, deliveries: DeliveryBatch) -> None:
+    def quiet_bursts(self) -> int:
+        """Further bursts equal to the last ``on_slot``'s it will let through.
+
+        0 whenever that call found anyone at risk, jam or not.
+        """
+        return self._quiet
+
+    def observe(self, deliveries: DeliveryBatch, repeat: int = 1) -> None:
         """Count clean ``Vtrue`` DATA copies at protected receivers.
 
         Per segment: a segment that reached the sender's whole
-        neighborhood adds one copy at each of the sender's cached
+        neighborhood adds ``repeat`` copies at each of the sender's
         protected neighbors; a partial one is filtered by the protected
         mask. A plain delivery list is wrapped first.
         """
         clean = self._clean
         protected = self._protected_mask
-        protected_near = self._protected_near
+        protected_near = self._protected_neighbors()
         full = self.grid._neighbors_sorted
         vtrue = self.vtrue
         data = MessageKind.DATA
@@ -214,15 +259,12 @@ class ThresholdGuardJammer(Adversary):
             if corrupted or kind is not data or value != vtrue:
                 continue
             if receivers is full[sender]:
-                near = protected_near.get(sender)
-                if near is None:
-                    near = self._protected_neighbors_of(sender)
-                for receiver in near:
-                    clean[receiver] += 1
+                for receiver in protected_near.get(sender, ()):
+                    clean[receiver] += repeat
             else:
                 for receiver in receivers:
                     if protected[receiver]:
-                        clean[receiver] += 1
+                        clean[receiver] += repeat
 
     def clean_copies_at(self, receiver: NodeId) -> int:
         """Clean Vtrue copies a protected receiver has (for experiment reports)."""

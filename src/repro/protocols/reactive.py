@@ -332,7 +332,9 @@ class CodedJammerAdversary:
             spoof_sender=victim.sender,
         )
 
-    def observe(self, deliveries: DeliveryBatch) -> None:  # omniscient, stateless
+    def observe(
+        self, deliveries: DeliveryBatch, repeat: int = 1
+    ) -> None:  # omniscient, stateless
         return
 
     def has_pending(self) -> bool:

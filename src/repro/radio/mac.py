@@ -38,7 +38,15 @@ needlessly:
   an adversary whose class declares ``observe_stateless = True``
   (``on_slot``/``observe`` neither read nor record anything
   observable) or an adversary that is out of budget (then ``observe``
-  still runs, once per deferred burst, at flush time).
+  still runs, once per deferred group with its multiplicity, at flush
+  time);
+- **quiet horizon** — a stateful-``observe`` adversary may promise,
+  through ``quiet_bursts()``, to let a number of further bursts
+  identical to its last ``on_slot`` input through untouched (the
+  threshold-guard jammer does, until some receiver nears its
+  threshold). Those repeats are coalesced like dedup's without
+  consulting ``on_slot``; with a horizon of 0 each burst is flushed
+  before the next is sent.
 
 Each slot of the batched loop resolves through
 :meth:`~repro.radio.medium.Medium.resolve_slot`, whose slot memo hands
@@ -112,6 +120,15 @@ class AdversaryLike(Protocol):
     ``has_pending`` read no delivery- or protocol-node-derived state,
     enabling burst dedup with ``observe`` skipped. Both default to the
     conservative setting when absent.
+
+    An optional method refines it for stateful-``observe`` adversaries:
+    ``quiet_bursts()``, read right after an ``on_slot`` call, is how
+    many further bursts with an equal ``honest`` list (same round and
+    slot) that call is certain to answer with an effect-free ``[]``,
+    given that each such burst is delivered jam-free. The driver then
+    skips ``on_slot`` for them and hands their deliveries to
+    ``observe`` at once, with ``repeat`` set to their number. Absent, it
+    counts as 0.
     """
 
     def on_slot(
@@ -119,13 +136,15 @@ class AdversaryLike(Protocol):
     ) -> list[BadTransmission]:
         """Byzantine transmissions for this slot (may be empty)."""
 
-    def observe(self, deliveries: DeliveryBatch) -> None:
-        """Full omniscient view of what was just delivered.
+    def observe(self, deliveries: DeliveryBatch, repeat: int = 1) -> None:
+        """Full omniscient view of what was just delivered, ``repeat`` times.
 
         Always a :class:`~repro.radio.medium.DeliveryBatch`, at every
         tier: per-transmission ``segments`` for bulk bookkeeping, or
         iterate it for receiver-ordered
-        :class:`~repro.radio.medium.Delivery` records.
+        :class:`~repro.radio.medium.Delivery` records. ``repeat > 1``
+        stands for that many identical consecutive bursts of one slot,
+        exactly as if each had been observed in turn.
         """
 
     def has_pending(self) -> bool:
@@ -230,6 +249,7 @@ class RoundDriver:
             getattr(adversary_cls, "observe_stateless", False)
         )
         self._spontaneous = bool(getattr(adversary_cls, "spontaneous", True))
+        self._quiet_bursts = getattr(adversary, "quiet_bursts", None)
         # Sticky: budgets are monotone, so once the adversary cannot send
         # it never can again. An adversary over no bad nodes at all stays
         # "active" so driver-level validation of rogue transmissions (a
@@ -369,11 +389,24 @@ class RoundDriver:
         # stable, or there is a single burst per slot, or no
         # Byzantine transmission can reach a drained co-owner because
         # the adversary is inactive). With an inactive adversary,
-        # observe still re-fires once per deferred burst at flush time.
+        # observe still sees each deferred group, with its multiplicity,
+        # at flush time.
+        #
+        # An adversary that does look sees every burst's deliveries
+        # before its next on_slot, except for repeats inside the quiet
+        # horizon it declares: those need no on_slot and are coalesced.
+        # The horizon stays 0 (flush every burst before the next is
+        # sent) unless senders are settled, since a queue-based node
+        # must see each burst's deliveries before its next send.
         single_burst = self.batch_per_slot == 1
         senders_settled = self._sends_stable or single_burst or not active
         dedup = senders_settled and (self._observe_stateless or not active)
         compact = senders_settled
+        quiet_bursts = (
+            self._quiet_bursts
+            if senders_settled and not dedup and not single_burst
+            else None
+        )
         data_kind = MessageKind.DATA
         data_count = 0
         honest_total = 0
@@ -389,6 +422,7 @@ class RoundDriver:
             prev_byz: list[BadTransmission] | None = None
             pending_batch = None
             multiplicity = 0
+            quiet = 0
             for _burst in range(self.batch_per_slot):
                 honest_txs: list[Transmission] = []
                 write = 0
@@ -412,7 +446,17 @@ class RoundDriver:
                         per_kind[kind] += 1
                 if compact:
                     del senders[write:]
+                if quiet and honest_txs == prev_honest:
+                    # Inside the quiet horizon: the adversary lets this
+                    # repeat through, so it joins the pending group.
+                    quiet -= 1
+                    multiplicity += 1
+                    honest_total += len(honest_txs)
+                    continue
                 if active:
+                    if pending_batch is not None and not dedup:
+                        self._flush(pending_batch, multiplicity, round_index)
+                        pending_batch = None
                     byz_txs = adversary.on_slot(round_index, slot, honest_txs)
                     for tx in byz_txs:
                         if not self.table.is_bad(tx.sender):
@@ -420,6 +464,8 @@ class RoundDriver:
                                 f"adversary transmitted from honest node {tx.sender}"
                             )
                         ledger.charge(tx.sender)
+                    if quiet_bursts is not None:
+                        quiet = quiet_bursts()
                 else:
                     byz_txs = _NO_BYZ
                 if not honest_txs and not byz_txs:
@@ -428,24 +474,20 @@ class RoundDriver:
                 honest_total += len(honest_txs)
                 byz_total += len(byz_txs)
 
-                if not dedup:
-                    # A stateful-observe adversary must see each burst's
-                    # deliveries before its next on_slot: flush eagerly.
-                    self._flush(
-                        self._resolve(honest_txs, byz_txs), 1, round_index
-                    )
-                    continue
                 if pending_batch is not None and (
                     honest_txs == prev_honest and byz_txs == prev_byz
                 ):
                     multiplicity += 1
-                else:
-                    if pending_batch is not None:
-                        self._flush(pending_batch, multiplicity, round_index)
-                    pending_batch = self._resolve(honest_txs, byz_txs)
-                    prev_honest = honest_txs
-                    prev_byz = byz_txs
-                    multiplicity = 1
+                    continue
+                if pending_batch is not None:
+                    self._flush(pending_batch, multiplicity, round_index)
+                pending_batch = self._resolve(honest_txs, byz_txs)
+                prev_honest = honest_txs
+                prev_byz = byz_txs
+                multiplicity = 1
+                if not (dedup or quiet):
+                    self._flush(pending_batch, 1, round_index)
+                    pending_batch = None
             if pending_batch is not None:
                 self._flush(pending_batch, multiplicity, round_index)
 
@@ -484,16 +526,17 @@ class RoundDriver:
                         scan.append(nid)
                 newly.clear()
         else:
+            # A receiver hears at most one delivery per slot, so the
+            # order across segments cannot matter.
             get_node = self.nodes.get
             for _ in range(multiplicity):
-                for receiver, sender, value, kind, _ in batch:
-                    node = get_node(receiver)
-                    if node is not None:  # honest receiver
-                        node.on_receive(sender, value, kind)
+                for sender, value, kind, _, receivers in batch.segments:
+                    for receiver in receivers:
+                        node = get_node(receiver)
+                        if node is not None:  # honest receiver
+                            node.on_receive(sender, value, kind)
         if not self._observe_stateless:
-            observe = self.adversary.observe
-            for _ in range(multiplicity):
-                observe(batch)
+            self.adversary.observe(batch, multiplicity)
 
     # -- reference round loop ------------------------------------------------
 

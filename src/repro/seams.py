@@ -103,8 +103,9 @@ SEAMS = (
         fast="repro.radio.mac.RoundDriver._run_round_fast",
         reference="repro.radio.mac.RoundDriver._run_round_reference",
         differential_test="tests/test_scenario_fastpath.py",
-        description="batched round loop (burst dedup, sender compaction, "
-        "budget-gated consultation) vs the per-delivery reference loop",
+        description="batched round loop (burst dedup, coalescing inside the "
+        "adversary's quiet horizon, sender compaction, budget-gated "
+        "consultation) vs the per-delivery reference loop",
     ),
     Seam(
         name="slot-resolver",

@@ -105,6 +105,70 @@ class TestThresholdGuardJammer:
         assert jammer.clean_copies_at(receiver) == 1
 
 
+class TestQuietHorizon:
+    """``quiet_bursts`` against a twin jammer stepped burst by burst."""
+
+    def _primed(self, grid, table, ledger, threshold):
+        # Uneven clean counts around the victim: (4,5) and (4,7) hear
+        # three copies from (3,6), (4,5) one more from (3,4); (4,5) has
+        # then decided, so (4,7) sets the horizon.
+        jammer = ThresholdGuardJammer(grid, table, ledger, threshold=threshold)
+        decided = grid.id_of((4, 5))
+        jammer.bind_decided(
+            {nid: FakeNode(decided=nid == decided) for nid in table.good_ids}
+        )
+        medium = Medium(grid)
+        jammer.observe(
+            medium.resolve_slot([Transmission(grid.id_of((3, 6)), 1)], []),
+            repeat=3,
+        )
+        jammer.observe(
+            medium.resolve_slot([Transmission(grid.id_of((3, 4)), 1)], [])
+        )
+        return jammer
+
+    def test_horizon_is_exactly_the_repeats_let_through(self):
+        grid, table, ledger = setup(bad_coords=((4, 6),), mf=5)
+        threshold = 9
+        main = self._primed(grid, table, ledger, threshold)
+        shadow = self._primed(grid, table, ledger, threshold)
+        tx = Transmission(grid.id_of((5, 6)), 1)
+        batch = Medium(grid).resolve_slot([tx], [])
+
+        assert main.on_slot(0, 0, [tx]) == []
+        quiet = main.quiet_bursts()
+        # (4,7) holds 3 clean copies, 8 tips it: four more are safe.
+        assert quiet == threshold - 2 - 3
+        assert shadow.on_slot(0, 0, [tx]) == []
+        for _ in range(quiet):
+            shadow.observe(batch)
+            assert shadow.on_slot(0, 0, [tx]) == []
+        shadow.observe(batch)
+        jams = shadow.on_slot(0, 0, [tx])
+        assert [jam.sender for jam in jams] == [grid.id_of((4, 6))]
+        assert shadow.quiet_bursts() == 0
+
+        # One observe with repeat stands for the repeats one by one.
+        main.observe(batch, repeat=quiet + 1)
+        assert main._clean == shadow._clean
+
+    def test_at_risk_slot_promises_nothing_even_without_a_jam(self):
+        grid, table, ledger = setup(bad_coords=((4, 6),), mf=0)
+        jammer = self._primed(grid, table, ledger, threshold=4)
+        tx = Transmission(grid.id_of((5, 6)), 1)
+        assert jammer.on_slot(0, 0, [tx]) == []  # at risk, but no budget
+        assert jammer.quiet_bursts() == 0
+
+    def test_horizon_resets_on_every_call(self):
+        grid, table, ledger = setup()
+        jammer = ThresholdGuardJammer(grid, table, ledger, threshold=5)
+        jammer.bind_decided({nid: FakeNode() for nid in table.good_ids})
+        assert jammer.on_slot(0, 0, [Transmission(grid.id_of((5, 6)), 1)]) == []
+        assert jammer.quiet_bursts() == 5 - 2
+        assert jammer.on_slot(0, 1, []) == []
+        assert jammer.quiet_bursts() == 0
+
+
 class TestPlannedJammer:
     def test_executes_quota(self):
         grid, table, ledger = setup(mf=10)

@@ -1,5 +1,7 @@
 """Tests for role bookkeeping and local-boundedness validation."""
 
+import random
+
 import pytest
 
 from repro.errors import PlacementError
@@ -67,3 +69,49 @@ def test_validate_locally_bounded():
     table.validate_locally_bounded(2)  # fine
     with pytest.raises(PlacementError):
         table.validate_locally_bounded(1)
+
+
+def _full_scan_verdict(table, t):
+    """Referee: every closed neighborhood in ascending id order."""
+    for node_id in table.grid.all_ids():
+        count = table.bad_in_neighborhood(node_id)
+        if count > t:
+            return (
+                f"neighborhood of node {table.grid.coord_of(node_id)} contains "
+                f"{count} bad nodes, exceeding t={t}"
+            )
+    return None
+
+
+def _verdict(table, t):
+    try:
+        table.validate_locally_bounded(t)
+    except PlacementError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GridSpec(12, 12, r=1, torus=True),
+        GridSpec(20, 20, r=2, torus=True),
+        GridSpec(9, 7, r=2, torus=False),
+        GridSpec(1, 30, r=3, torus=False),
+    ],
+)
+def test_validate_locally_bounded_matches_full_scan(spec):
+    # Sparse and dense placements, so both accepted and violating
+    # tables (often with several violators) are compared.
+    rng = random.Random(spec.n)
+    grid = Grid(spec)
+    verdicts = set()
+    for _ in range(60):
+        count = rng.choice((1, 2, 3, 5, 8, 13))
+        bad = set(rng.sample(range(1, grid.n), min(count, grid.n - 1)))
+        table = NodeTable(grid, source=0, bad=bad)
+        for t in (0, 1, 2, 3):
+            expected = _full_scan_verdict(table, t)
+            assert _verdict(table, t) == expected
+            verdicts.add(expected is None)
+    assert verdicts == {True, False}

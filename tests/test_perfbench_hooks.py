@@ -24,6 +24,10 @@ EXPECTED_SPANS = (
     "scenario.run",
     "radio.driver",
     "radio.resolve_slot",
+    # adversary.self_s counts only these two, so the jammer's horizon
+    # work must stay inside them (observe is called with a repeat).
+    "adversary.on_slot",
+    "adversary.observe",
     "fuzz.leg.fast",
     "fuzz.leg.reference",
     "fuzz.oracles",

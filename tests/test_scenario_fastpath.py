@@ -17,15 +17,19 @@ comparator the fuzz subsystem applies to sampled scenarios.
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.protocols.vectorized as vectorized
 import repro.scenario.runner as runner_mod
+from repro.adversary.jamming import ThresholdGuardJammer
 from repro.adversary.placement import RandomPlacement, StripePlacement
 from repro.fuzz import compare_reports
 from repro.network.grid import GridSpec
-from repro.scenario import ScenarioSpec, run
+from repro.scenario import ScenarioSpec, preset, run
 from repro.seams import Tier
 from strategies import equivalence_spec as _spec, vector_candidate_specs
 
@@ -65,7 +69,8 @@ class TestFlatEngineAndDriverEquivalence:
     """Reference vs fast whole-run equality across protocol/behavior mixes."""
 
     def test_threshold_jam(self):
-        # Stateful-observe adversary: no burst dedup, eager flushes.
+        # Stateful-observe adversary: no burst dedup; bursts inside its
+        # quiet horizon are coalesced, the rest flushed one by one.
         fast, reference = _run_both(_spec(behavior="jam"))
         _assert_reports_identical(fast, reference)
 
@@ -144,6 +149,123 @@ class TestFlatEngineAndDriverEquivalence:
 
         fast, reference = _run_both(paper_spec())
         _assert_reports_identical(fast, reference)
+
+
+class _NodeOracleJammer(ThresholdGuardJammer):
+    """Reads decisions from the protocol nodes even under a flat engine."""
+
+    def bind_decided_bits(self, bits):
+        pass
+
+
+def _jam_runs(spec, *, threshold, protected=None, oracle="bits"):
+    """(fast, reference) reports and jammers of one jam scenario."""
+    cls = ThresholdGuardJammer if oracle == "bits" else _NodeOracleJammer
+    jammers = []
+
+    def build(grid, table, ledger):
+        band = None
+        if protected is not None:
+            band = [nid for nid in grid.all_ids() if grid.coord_of(nid)[1] in protected]
+        jammers.append(cls(grid, table, ledger, threshold=threshold, protected=band))
+        return jammers[-1]
+
+    fast = run(spec, tier=Tier.FAST, adversary_override=build)
+    reference = run(spec, tier=Tier.REFERENCE, adversary_override=build)
+    return fast, reference, jammers
+
+
+class TestQuietHorizonEquivalence:
+    """Coalescing the jammer's quiet repeats changes nothing observable.
+
+    The batched loop skips ``on_slot`` for bursts inside the horizon
+    ``quiet_bursts`` declares and observes them in one call; the
+    reference loop consults the jammer on every burst.
+    """
+
+    @pytest.mark.parametrize("oracle", ["bits", "nodes"])
+    @pytest.mark.parametrize("protected", [None, (6, 7, 8)])
+    @pytest.mark.parametrize("tight", [False, True])
+    @pytest.mark.parametrize("batch_per_slot", [2, 4, 25])
+    def test_fast_equals_reference(self, batch_per_slot, tight, protected, oracle):
+        spec = _spec(behavior="jam", t=2, mf=2, m=6,
+                     placement=RandomPlacement(t=2, count=12, seed=5),
+                     batch_per_slot=batch_per_slot)
+        # tight: threshold 1, so every undecided protected receiver is
+        # at risk and the horizon is always 0.
+        threshold = 1 if tight else spec.t * spec.mf + 1
+        fast, reference, (fast_jammer, reference_jammer) = _jam_runs(
+            spec, threshold=threshold, protected=protected, oracle=oracle
+        )
+        _assert_reports_identical(fast, reference)
+        assert reference_jammer.jams > 0
+        assert fast_jammer.jams == reference_jammer.jams
+        assert fast_jammer._clean == reference_jammer._clean
+
+    def test_fast_consults_the_jammer_less_than_half_as_often(self, monkeypatch):
+        # Theorem 2's band: relays drain four identical bursts per slot,
+        # which the horizon coalesces. A silent fall back to consulting
+        # the jammer burst by burst fails here.
+        calls = {Tier.FAST: 0, Tier.REFERENCE: 0}
+        tier = Tier.FAST
+        on_slot = ThresholdGuardJammer.on_slot
+
+        def counting(self, round_index, slot, honest):
+            calls[tier] += 1
+            return on_slot(self, round_index, slot, honest)
+
+        monkeypatch.setattr(ThresholdGuardJammer, "on_slot", counting)
+        spec = preset("theorem2")
+        fast = run(spec, tier=tier)
+        tier = Tier.REFERENCE
+        reference = run(spec, tier=tier)
+        _assert_reports_identical(fast, reference)
+        assert 0 < calls[Tier.FAST] < calls[Tier.REFERENCE] / 2
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_neighbor_table_order_does_not_matter(self, seed):
+        # The greedy cover's choice is a total order and its output is
+        # sorted, so the sparse-side table order is immaterial: shuffled
+        # tables give the same on_slot output at every call.
+        spec = _spec(behavior="jam", t=2, mf=2, m=6,
+                     placement=RandomPlacement(t=2, count=12, seed=5),
+                     batch_per_slot=4)
+        rng = random.Random(seed)
+
+        def shuffled(table):
+            rows = {}
+            for key, row in table.items():
+                row = list(row)
+                rng.shuffle(row)
+                rows[key] = tuple(row)
+            return rows
+
+        def recorded(shuffle):
+            outputs = []
+
+            def build(grid, table, ledger):
+                jammer = ThresholdGuardJammer(
+                    grid, table, ledger, threshold=spec.t * spec.mf + 1
+                )
+                if shuffle:
+                    jammer._protected_near = shuffled(jammer._protected_neighbors())
+                    jammer._bad_near = shuffled(jammer._bad_neighbors())
+                on_slot = jammer.on_slot
+
+                def recording(round_index, slot, honest):
+                    outputs.append(on_slot(round_index, slot, honest))
+                    return outputs[-1]
+
+                jammer.on_slot = recording
+                return jammer
+
+            run(spec, tier=Tier.FAST, adversary_override=build)
+            return outputs
+
+        plain = recorded(False)
+        assert any(plain)
+        assert recorded(True) == plain
 
 
 class TestInactiveAdversaryEquivalence:
