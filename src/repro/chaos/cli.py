@@ -6,11 +6,11 @@ fault-free reference bytes (:func:`repro.serve.service.report_bytes`)
 for a small seed-varied point set, then replays fault plans against the
 two production surfaces —
 
-- **sweep leg** — a parallel :func:`repro.runner.parallel.sweep` (twice,
-  over a shared temp cache, so read-side corruption faults get a stored
-  entry to mangle) with the plan armed; every outcome must serialize to
-  the reference bytes.
-- **serve leg** — a real in-process daemon over a
+- **sweep leg** — a parallel :func:`repro.runner.parallel.sweep`, one
+  pool task per point (twice, over a shared temp cache, so read-side
+  corruption faults get a stored entry to mangle) with the plan armed;
+  every outcome must serialize to the reference bytes.
+- **serve leg** — a real in-process daemon over the same
   :class:`~repro.runner.parallel.PersistentPool`; every ``POST /run``
   must answer 200 with the reference bytes, retrying on injected
   connection resets (the retry is the client's job; the server has
@@ -76,11 +76,7 @@ def _sweep_leg(
         with _chaos.armed(plan):
             for attempt in (1, 2):
                 result = sweep(
-                    list(points),
-                    run_summary,
-                    workers=workers,
-                    cache=cache,
-                    chunksize=1,
+                    list(points), run_summary, workers=workers, cache=cache
                 )
                 for spec, outcome, want in zip(
                     points, result.results, goldens

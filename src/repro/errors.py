@@ -67,11 +67,12 @@ class PoolBrokenError(SimulationError):
     """A worker pool died and supervision exhausted its restart budget.
 
     This is an *infrastructure* failure, never a simulation result:
-    :mod:`repro.runner.supervise` respawns broken pools with capped
-    backoff and resubmits in-flight points (idempotent by content hash)
-    before raising this. Carries the recovery counters so callers — the
-    sweep flush path, the scenario service's degraded-mode breaker —
-    can report progress without parsing the message.
+    :class:`repro.runner.supervise.PersistentPool` respawns itself with
+    capped backoff and resubmits in-flight points (idempotent by content
+    hash) before raising this. Carries the recovery counters so callers
+    — a sweep (which adds ``completed``/``total``), the scenario
+    service's degraded-mode breaker — can report progress without
+    parsing the message.
     """
 
     def __init__(

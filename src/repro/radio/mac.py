@@ -125,10 +125,10 @@ class AdversaryLike(Protocol):
     ``quiet_bursts()``, read right after an ``on_slot`` call, is how
     many further bursts with an equal ``honest`` list (same round and
     slot) that call is certain to answer with an effect-free ``[]``,
-    given that each such burst is delivered jam-free. The driver then
-    skips ``on_slot`` for them and hands their deliveries to
-    ``observe`` at once, with ``repeat`` set to their number. Absent, it
-    counts as 0.
+    given that each such burst is delivered jam-free; it must be 0
+    after a call that returned transmissions. The driver then skips
+    ``on_slot`` for them and hands their deliveries to ``observe`` at
+    once, with ``repeat`` set to their number. Absent, it counts as 0.
     """
 
     def on_slot(
@@ -394,18 +394,18 @@ class RoundDriver:
         #
         # An adversary that does look sees every burst's deliveries
         # before its next on_slot, except for repeats inside the quiet
-        # horizon it declares: those need no on_slot and are coalesced.
-        # The horizon stays 0 (flush every burst before the next is
-        # sent) unless senders are settled, since a queue-based node
-        # must see each burst's deliveries before its next send.
+        # horizon it declares: those need no on_slot and are coalesced,
+        # their distribution deferred past the next burst's sends. That
+        # holds for queue-based nodes too: a horizon follows only an
+        # on_slot that answered [], so the group is jam-free, and an
+        # honest burst reaches no owner of its own slot (co-owners are
+        # more than r apart), so no sender of the slot hears it.
         single_burst = self.batch_per_slot == 1
         senders_settled = self._sends_stable or single_burst or not active
         dedup = senders_settled and (self._observe_stateless or not active)
         compact = senders_settled
         quiet_bursts = (
-            self._quiet_bursts
-            if senders_settled and not dedup and not single_burst
-            else None
+            self._quiet_bursts if not dedup and not single_burst else None
         )
         data_kind = MessageKind.DATA
         data_count = 0

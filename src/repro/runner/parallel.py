@@ -3,9 +3,9 @@ on-disk caching.
 
 This is the execution substrate behind every experiment harness: it maps
 a list of configuration points through a runner function, optionally
-fanning the points out over a ``multiprocessing`` worker pool and
-memoizing per-point results on disk. ``workers=1`` (the default) is the
-plain serial loop.
+fanning the points out over a :class:`PersistentPool` of spawn workers
+and memoizing per-point results on disk. ``workers=1`` (the default) is
+the plain serial loop.
 
 Design constraints, in order:
 
@@ -30,7 +30,7 @@ in a worker or in the serial path — surfaces as
 :class:`~repro.errors.SimulationError` naming the offending point and
 carrying the original traceback. *Infrastructure* failures (a worker
 SIGKILLed mid-point, a full disk under the cache) are a different
-species: :mod:`repro.runner.supervise` respawns broken pools and
+species: the pool (:mod:`repro.runner.supervise`) respawns itself and
 resubmits in-flight points (idempotent by :func:`point_key`), and cache
 stores degrade to log-and-continue — per the ROADMAP standing rule,
 infrastructure faults may cost latency, never bytes. Both recovery paths
@@ -50,16 +50,14 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.chaos import inject as _chaos
 from repro.errors import ConfigurationError, PoolBrokenError, SimulationError
 from repro.runner.supervise import (
-    DEFAULT_MAX_RESTARTS,
-    SupervisedPool,
+    PersistentPool,
     default_workers,
     describe_worker_failure as _describe_failure,
-    supervised_map,
 )
 from repro.sim.rng import derive_seed
 
@@ -616,82 +614,6 @@ def _report_interrupt(done: int, total: int) -> None:
     sys.stderr.flush()
 
 
-class _Invoker:
-    """Picklable wrapper shipping ``run`` to spawn workers.
-
-    Exceptions are returned as data (not raised) so the parent can
-    terminate the pool and raise one coherent
-    :class:`~repro.errors.SimulationError` instead of hanging or dying on
-    an unpicklable exception object.
-    """
-
-    def __init__(self, run: Callable[[Any], Any]) -> None:
-        self.run = run
-        # Snapshot of the armed chaos plan's unspent worker faults; a
-        # spawn worker cannot see the parent's plan, so the faults ride
-        # the invoker's pickle. Empty (and free) when nothing is armed,
-        # and re-taken per invoker so a fault spent after a pool break
-        # stops shipping to the respawned workers.
-        self.faults = _chaos.shipped_worker_faults()
-
-    def __call__(self, point: Any) -> tuple[bool, Any]:
-        if self.faults:
-            keys = [point_key(point)]
-            if isinstance(point, (list, tuple)):
-                # Serve chunks are lists of specs; let a fault target an
-                # individual spec's content hash, not just the chunk's.
-                keys.extend(point_key(item) for item in point)
-            _chaos.install_worker_faults(self.faults)
-            _chaos.fire_worker_faults(keys)
-        try:
-            return True, self.run(point)
-        except Exception as exc:
-            # Not BaseException: a KeyboardInterrupt must kill the worker
-            # (surfacing as BrokenExecutor) rather than masquerade as a
-            # simulation failure on whatever point was in flight.
-            return False, (
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(),
-            )
-
-
-class PersistentPool(SupervisedPool):
-    """A long-lived spawn-safe worker pool for request-serving workloads.
-
-    :func:`sweep` builds and tears down an executor per call — right for
-    batch experiments, wrong for a daemon: every request batch would pay
-    a full interpreter + import spawn. A ``PersistentPool`` keeps its
-    spawn workers alive across submissions, so each worker's module
-    state — notably the :class:`ProcessLocalCache` warm worlds the
-    scenario runner keeps — persists from one chunk to the next, and a
-    request to a grid any worker has seen skips world construction
-    entirely. ``repro.serve`` dispatches its batched compute chunks here.
-
-    Results use the same exception-as-data protocol as sweep workers
-    (:class:`_Invoker`): :meth:`submit` returns a
-    ``concurrent.futures.Future`` resolving to ``(ok, value)``, where a
-    falsy ``ok`` carries ``(exc_type, message, traceback)``.
-    :meth:`unwrap` converts that triple into the
-    :class:`~repro.errors.SimulationError` a sweep would raise.
-
-    The pool is supervised (:class:`~repro.runner.supervise.SupervisedPool`):
-    a dead worker breaks the executor, the supervisor respawns it with
-    capped backoff and resubmits the in-flight points, and callers only
-    see :class:`~repro.errors.PoolBrokenError` once the restart budget is
-    exhausted. ``restarts`` / ``resubmitted`` / ``alive`` expose the
-    recovery history to ``/healthz``.
-    """
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        max_restarts: int = DEFAULT_MAX_RESTARTS,
-    ) -> None:
-        super().__init__(workers, invoker=_Invoker, max_restarts=max_restarts)
-
-
 def _store_result(cache: ResultCache, point: Any, value: Any) -> None:
     """Store a fresh result, tolerating infrastructure store failures.
 
@@ -719,16 +641,14 @@ def sweep(
     workers: int | None = 1,
     cache: ResultCache | None = None,
     on_result: Callable[[PointT, ResultT], None] | None = None,
-    chunksize: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> SweepResult:
     """Run ``run`` over every point and collect results in point order.
 
-    ``workers=1`` (the default) is a serial loop; ``workers>1`` fans the
-    uncached points out over a spawn-safe ``multiprocessing`` pool in
-    chunks, preserving point order in the returned
-    :class:`SweepResult`. ``workers=0`` or ``None``
-    picks :func:`default_workers`.
+    ``workers=1`` (the default) is a serial loop; ``workers>1`` submits
+    each uncached point to one :class:`PersistentPool` of spawn workers
+    and consumes the results in point order, joining the workers before
+    returning. ``workers=0`` or ``None`` picks :func:`default_workers`.
 
     ``cache`` short-circuits points whose results are already on disk and
     stores fresh results as they arrive. ``on_result`` is always invoked
@@ -778,8 +698,20 @@ def sweep(
             _report_interrupt(done_count, total)
             raise
 
-    if workers == 1 or len(pending) <= 1:
-        try:
+    # The serial path calls ``run`` in this process, never through the
+    # pool's invoker: an armed worker-crash fault must not SIGKILL the
+    # parent. The pool caps its size to the machine (CPU-bound workers
+    # beyond the core count buy nothing) but is kept even at one
+    # process, so spawn-safety is exercised identically everywhere.
+    pool = (
+        PersistentPool(min(workers, len(pending)))
+        if workers > 1 and len(pending) > 1
+        else None
+    )
+
+    def computed() -> Iterator[tuple[int, Any]]:
+        """``(index, value)`` of every pending point, in point order."""
+        if pool is None:
             for index in pending:
                 point = point_list[index]
                 try:
@@ -791,40 +723,14 @@ def sweep(
                             traceback.format_exc(),
                         )
                     ) from exc
-                results[index] = value
-                if cache is not None:
-                    _store_result(cache, point, value)
-                done_count += 1
-                flush()
-                if progress is not None:
-                    progress(done_count, total)
-        except KeyboardInterrupt:
-            _report_interrupt(done_count, total)
-            raise
-        flush()
-        return SweepResult(tuple(point_list), tuple(results))
+                yield index, value
+            return
+        futures = [pool.submit(run, point_list[index]) for index in pending]
+        for index, future in zip(pending, futures):
+            yield index, pool.unwrap(point_list[index], future.result())
 
-    # The simulations are CPU-bound: worker processes beyond the core
-    # count buy nothing and each costs a full interpreter + import on
-    # spawn, so an explicit --workers N is capped to the machine (the
-    # same bound workers=0 resolves to). The pool is kept even at one
-    # process so spawn-safety is exercised identically everywhere.
-    pool_workers = max(1, min(workers, len(pending), default_workers()))
-    if chunksize is None:
-        chunksize = max(1, len(pending) // (pool_workers * 4))
-    outcomes = supervised_map(
-        _Invoker,
-        run,
-        [point_list[index] for index in pending],
-        workers=pool_workers,
-        chunksize=chunksize,
-    )
     try:
-        for index, (ok, value) in zip(pending, outcomes):
-            if not ok:
-                raise SimulationError(
-                    _describe_failure(point_list[index], *value)
-                )
+        for index, value in computed():
             results[index] = value
             if cache is not None:
                 _store_result(cache, point_list[index], value)
@@ -832,11 +738,13 @@ def sweep(
             flush()
             if progress is not None:
                 progress(done_count, total)
+        if pool is not None:
+            # Every future is done: this only joins the idle workers.
+            pool.shutdown()
     except KeyboardInterrupt:
-        # Ctrl-C/SIGTERM mid-sweep: cancel what hasn't started (closing
-        # the supervised map below), report progress cleanly, and let
-        # the interrupt propagate — instead of the executor's noisy
-        # unwind.
+        # Ctrl-C/SIGTERM mid-sweep: report progress cleanly and let the
+        # interrupt propagate (the pool is abandoned below) instead of
+        # the executor's noisy unwind.
         _report_interrupt(done_count, total)
         raise
     except PoolBrokenError as exc:
@@ -854,7 +762,8 @@ def sweep(
             restarts=exc.restarts,
         ) from exc
     finally:
-        outcomes.close()
+        if pool is not None:
+            pool.shutdown(wait=False)  # no-op after the clean shutdown
     flush()
     return SweepResult(tuple(point_list), tuple(results))
 
@@ -937,12 +846,13 @@ from repro import seams as _seams  # noqa: E402
 _seams.register_chaos(
     _seams.ChaosPoint(
         name="pool-worker",
-        module="repro.runner.parallel",
+        module="repro.runner.supervise",
         hook="repro.chaos.inject.fire_worker_faults",
         kinds=("worker-crash", "worker-slow"),
         description=(
             "spawn worker SIGKILL/delay as a matching point is picked up "
-            "(_Invoker); recovered by supervised respawn + resubmission"
+            "(PersistentPool's _Invoker); recovered by supervised respawn "
+            "+ resubmission"
         ),
     )
 )

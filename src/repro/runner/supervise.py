@@ -1,12 +1,13 @@
-"""Worker-pool supervision: respawn, backoff, and idempotent resubmission.
+"""The one supervised worker pool: respawn, backoff, idempotent resubmission.
 
-This is the **only** module in the tree allowed to name
-``concurrent.futures.BrokenExecutor`` in an ``except`` clause — rule
-RPR501 of ``python -m repro check`` enforces it. Everything else routes
-pool work through :func:`supervised_map` / :class:`SupervisedPool` and
-classifies failures with :func:`is_pool_break`, so recovery policy
-(capped exponential backoff, restart counters, chaos-fault spending,
-completed-point accounting) lives in exactly one place.
+:class:`PersistentPool` runs every pool task in the tree: a parallel
+:func:`repro.runner.parallel.sweep` submits each uncached point to one,
+and ``repro.serve`` each computed request. This is also the **only**
+module allowed to name ``concurrent.futures.BrokenExecutor`` in an
+``except`` clause — rule RPR501 of ``python -m repro check`` enforces it
+— so recovery policy (capped exponential backoff, restart counters,
+chaos-fault spending) lives in exactly one place; everything else
+classifies failures with :func:`is_pool_break`.
 
 The contract recovery must honor is the ROADMAP standing rule:
 *infrastructure faults may cost latency, never bytes*. Pool breaks are
@@ -14,8 +15,8 @@ infrastructure — a SIGKILLed worker, an OOM kill, an unimportable spawn —
 and are retried by resubmitting the in-flight points, which is safe
 because points are idempotent by content hash
 (:func:`repro.runner.parallel.point_key`). Simulation exceptions travel
-as data through the invoker protocol ``(ok, value)`` and are **never**
-retried: a deterministic failure is a result, not a fault.
+as data through the :class:`_Invoker` protocol ``(ok, value)`` and are
+**never** retried: a deterministic failure is a result, not a fault.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import multiprocessing
 import os
 import threading
 import time
+import traceback
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable
 
 from repro.chaos import inject as _chaos
 from repro.errors import ConfigurationError, PoolBrokenError, SimulationError
@@ -73,82 +75,6 @@ def describe_worker_failure(
     )
 
 
-def supervised_map(
-    invoker_factory: Callable[[Callable[[Any], Any]], Callable[[Any], Any]],
-    run: Callable[[Any], Any],
-    points: Sequence[Any],
-    *,
-    workers: int,
-    chunksize: int,
-    max_restarts: int | None = None,
-) -> Iterator[Any]:
-    """Yield invoker outcomes for ``points`` in order, surviving breaks.
-
-    The streaming analogue of ``executor.map``: on a pool break the dead
-    executor is replaced (after :func:`backoff_delay`) and the *unconsumed*
-    suffix of points is resubmitted through a fresh invoker — fresh so a
-    chaos fault spent by :func:`repro.chaos.inject.on_pool_break` is no
-    longer shipped to the replacement workers. Consumed outcomes are never
-    re-run (the caller has already cached them); progress resets the
-    backoff counter, and ``max_restarts`` consecutive no-progress breaks
-    raise :class:`~repro.errors.PoolBrokenError` carrying completed/total.
-    """
-    point_list = list(points)
-    total = len(point_list)
-    if max_restarts is None:
-        max_restarts = DEFAULT_MAX_RESTARTS
-    context = multiprocessing.get_context("spawn")
-    position = 0
-    consecutive = 0
-    while position < total:
-        executor = ProcessPoolExecutor(
-            max_workers=max(1, min(workers, total - position)),
-            mp_context=context,
-        )
-        try:
-            outcomes = executor.map(
-                invoker_factory(run),
-                point_list[position:],
-                chunksize=chunksize,
-            )
-            for outcome in outcomes:
-                position += 1
-                consecutive = 0
-                yield outcome
-        except BrokenExecutor as exc:
-            # Workers died before/while running (an unimportable main
-            # module under spawn, an OOM/SIGKILL). Respawn and resubmit
-            # the unconsumed suffix instead of aborting the sweep — or,
-            # after max_restarts consecutive no-progress breaks, surface
-            # one coherent infrastructure error.
-            consecutive += 1
-            if consecutive > max_restarts:
-                raise PoolBrokenError(
-                    f"parallel sweep worker pool broke ({exc}) and stayed "
-                    f"broken after {consecutive - 1} respawns; points must "
-                    "be picklable and the run function importable by "
-                    "spawned workers",
-                    completed=position,
-                    total=total,
-                    restarts=consecutive - 1,
-                ) from exc
-            _chaos.on_pool_break()
-            delay = backoff_delay(consecutive)
-            _LOG.warning(
-                "sweep worker pool broke (%s); respawning in %.2fs "
-                "(attempt %d/%d, %d/%d points done)",
-                exc,
-                delay,
-                consecutive,
-                max_restarts,
-                position,
-                total,
-            )
-            time.sleep(delay)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-
 class _Task:
     """One supervised submission: its inputs, its outer future, its tries."""
 
@@ -161,16 +87,66 @@ class _Task:
         self.attempts = 0
 
 
-class SupervisedPool:
+class _Invoker:
+    """Picklable wrapper shipping ``run`` to spawn workers.
+
+    Exceptions are returned as data (not raised) so the parent can raise
+    one coherent :class:`~repro.errors.SimulationError` naming the point
+    instead of hanging or dying on an unpicklable exception object.
+    """
+
+    def __init__(self, run: Callable[[Any], Any]) -> None:
+        self.run = run
+        # Snapshot of the armed chaos plan's unspent worker faults; a
+        # spawn worker cannot see the parent's plan, so the faults ride
+        # the invoker's pickle. Empty (and free) when nothing is armed,
+        # and re-taken per dispatch so a fault spent after a pool break
+        # stops shipping to the respawned workers.
+        self.faults = _chaos.shipped_worker_faults()
+
+    def __call__(self, point: Any) -> tuple[bool, Any]:
+        if self.faults:
+            from repro.runner.parallel import point_key
+
+            keys = [point_key(point)]
+            if isinstance(point, (list, tuple)):
+                # Serve chunks are lists of specs; let a fault target an
+                # individual spec's content hash, not just the chunk's.
+                keys.extend(point_key(item) for item in point)
+            _chaos.install_worker_faults(self.faults)
+            _chaos.fire_worker_faults(keys)
+        try:
+            return True, self.run(point)
+        except Exception as exc:
+            # Not BaseException: a KeyboardInterrupt must kill the worker
+            # (surfacing as BrokenExecutor) rather than masquerade as a
+            # simulation failure on whatever point was in flight.
+            return False, (
+                type(exc).__name__,
+                str(exc),
+                traceback.format_exc(),
+            )
+
+
+class PersistentPool:
     """A long-lived, self-healing spawn pool.
 
-    Wraps one ``ProcessPoolExecutor`` and decouples caller futures from
-    executor futures: :meth:`submit` returns an *outer* future that
-    survives pool death. When a worker dies, every in-flight task is
-    requeued and a single supervisor thread respawns the executor (capped
-    exponential backoff) and resubmits them through a fresh invoker —
-    safe because points are idempotent by content hash. After
-    ``max_restarts`` consecutive no-progress breaks the pool is declared
+    Spawn workers stay alive across submissions, so each worker's module
+    state — notably the
+    :class:`~repro.runner.parallel.ProcessLocalCache` warm worlds the
+    scenario runner keeps — persists from one task to the next: the
+    daemon keeps one pool for its life, a sweep one for its points.
+
+    :meth:`submit` returns an *outer* ``concurrent.futures.Future``
+    resolving to the :class:`_Invoker` outcome ``(ok, value)``, where a
+    falsy ``ok`` carries ``(exc_type, message, traceback)`` and
+    :meth:`unwrap` turns that into a
+    :class:`~repro.errors.SimulationError`. The outer future survives
+    pool death: when a worker dies, every in-flight task is requeued and
+    a single supervisor thread respawns the executor (capped exponential
+    backoff) and resubmits them through fresh invokers. After
+    ``max_restarts`` (default :data:`DEFAULT_MAX_RESTARTS`, read when the
+    pool is built) consecutive no-progress breaks the pool is declared
     dead: queued tasks fail with :class:`~repro.errors.PoolBrokenError`
     and further submits raise it too, until :meth:`revive` (the scenario
     service's recovery probe calls it) grants a fresh executor.
@@ -183,8 +159,7 @@ class SupervisedPool:
         self,
         workers: int | None = None,
         *,
-        invoker: Callable[[Callable[[Any], Any]], Callable[[Any], Any]],
-        max_restarts: int = DEFAULT_MAX_RESTARTS,
+        max_restarts: int | None = None,
     ) -> None:
         if workers is None or workers == 0:
             workers = default_workers()
@@ -196,8 +171,9 @@ class SupervisedPool:
         self.workers = min(workers, default_workers())
         self.restarts = 0
         self.resubmitted = 0
-        self._invoker = invoker
-        self._max_restarts = max_restarts
+        self._max_restarts = (
+            DEFAULT_MAX_RESTARTS if max_restarts is None else max_restarts
+        )
         self._lock = threading.RLock()
         self._consecutive = 0
         self._closed = False
@@ -271,7 +247,7 @@ class SupervisedPool:
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=not wait)
 
-    def __enter__(self) -> "SupervisedPool":
+    def __enter__(self) -> "PersistentPool":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -280,7 +256,7 @@ class SupervisedPool:
     # -- internals -------------------------------------------------------------
 
     def _dispatch(self, task: _Task) -> None:
-        invoker = self._invoker(task.run)
+        invoker = _Invoker(task.run)
         with self._lock:
             executor = self._executor
         if executor is None:

@@ -109,7 +109,7 @@ class TestSweepUnderCrash:
         goldens = [serialize_outcome(run_summary(spec)) for spec in specs]
         plan = FaultPlan(faults=(Fault(kind="worker-crash"),))
         with inject.armed(plan):
-            result = sweep(list(specs), run_summary, workers=2, chunksize=1)
+            result = sweep(list(specs), run_summary, workers=2)
         assert [
             serialize_outcome(outcome) for outcome in result.results
         ] == goldens
@@ -131,22 +131,14 @@ class TestSweepUnderCrash:
         plan = FaultPlan(faults=(Fault(kind="worker-crash", target=target),))
         with inject.armed(plan):
             with pytest.raises(PoolBrokenError) as err:
-                sweep(
-                    list(specs),
-                    run_summary,
-                    workers=2,
-                    chunksize=1,
-                    cache=cache,
-                )
+                sweep(list(specs), run_summary, workers=2, cache=cache)
         assert err.value.completed == 2
         assert err.value.total == 4
         assert "2/4 points completed and cached" in str(err.value)
         assert "re-run to resume" in str(err.value)
         # Disarmed re-run resumes from the cache and finishes the sweep
         # with the fault-free bytes.
-        result = sweep(
-            list(specs), run_summary, workers=2, chunksize=1, cache=cache
-        )
+        result = sweep(list(specs), run_summary, workers=2, cache=cache)
         assert [
             serialize_outcome(outcome) for outcome in result.results
         ] == goldens

@@ -5,6 +5,7 @@ pickles them by reference; the points are primitives or frozen
 dataclasses for the same reason.
 """
 
+import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -97,9 +98,13 @@ class TestParallelSweep:
         with pytest.raises(SimulationError, match="bad point 2"):
             sweep([1, 2, 3, 4], raising, workers=3)
 
-    def test_chunksize_respected(self):
-        result = sweep(list(range(7)), square, workers=2, chunksize=3)
+    def test_parallel_sweep_joins_its_workers_before_returning(self):
+        # Workers left over from earlier tests' abandoned pools may still
+        # be exiting; none of this sweep's may outlive the call.
+        before = set(multiprocessing.active_children())
+        result = sweep(list(range(7)), square, workers=2)
         assert result.results == (0, 1, 4, 9, 16, 25, 36)
+        assert set(multiprocessing.active_children()) <= before
 
     def test_progress_reports_every_point(self):
         calls = []

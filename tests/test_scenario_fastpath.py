@@ -15,6 +15,7 @@ comparator the fuzz subsystem applies to sampled scenarios.
 """
 
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import random
@@ -28,9 +29,15 @@ import repro.scenario.runner as runner_mod
 from repro.adversary.jamming import ThresholdGuardJammer
 from repro.adversary.placement import RandomPlacement, StripePlacement
 from repro.fuzz import compare_reports
-from repro.network.grid import GridSpec
+from repro.network.grid import Grid, GridSpec
+from repro.network.node import NodeTable
+from repro.radio.budget import BudgetLedger
+from repro.radio.mac import RoundDriver, RunLimits
+from repro.radio.medium import Medium
+from repro.radio.messages import MessageKind
 from repro.scenario import ScenarioSpec, preset, run
 from repro.seams import Tier
+from repro.types import VTRUE
 from strategies import equivalence_spec as _spec, vector_candidate_specs
 
 needs_numpy = pytest.mark.skipif(
@@ -266,6 +273,123 @@ class TestQuietHorizonEquivalence:
         plain = recorded(False)
         assert any(plain)
         assert recorded(True) == plain
+
+    @pytest.mark.parametrize("batch_per_slot", [2, 3, 6])
+    def test_queue_nodes_fast_equals_reference(self, batch_per_slot):
+        # Queue-based nodes (no sends_stable) can be re-armed by a
+        # mid-slot receive: any non-Vtrue DATA they hear queues a NACK.
+        # Coalescing a quiet group defers its deliveries past the next
+        # burst's sends, which is exact only because a quiet group is
+        # jam-free and an honest burst reaches no owner of its slot.
+        fast_stats, fast_nodes, fast_jammer, fast_ledger, fast_calls = (
+            _queue_node_jam_run(batch_per_slot, fast=True)
+        )
+        ref_stats, ref_nodes, ref_jammer, ref_ledger, ref_calls = (
+            _queue_node_jam_run(batch_per_slot, fast=False)
+        )
+        assert fast_stats == ref_stats
+        assert fast_stats.quiescent
+        assert ref_jammer.jams > 0
+        assert fast_stats.per_kind_honest[MessageKind.NACK] > 0
+        for nid, node in ref_nodes.items():
+            assert fast_nodes[nid].heard == node.heard
+            assert fast_nodes[nid].decided == node.decided
+        assert fast_jammer.jams == ref_jammer.jams
+        assert fast_jammer._clean == ref_jammer._clean
+        ids = range(ref_jammer.grid.n)
+        assert [fast_ledger.sent(n) for n in ids] == [ref_ledger.sent(n) for n in ids]
+        # The horizon engages for queue nodes: repeats inside it skip
+        # on_slot, so the batched loop consults the jammer on fewer
+        # non-empty bursts than the reference loop.
+        assert 0 < fast_calls < ref_calls
+
+
+class _QueueRelayNode:
+    """Queue-based relay double: accepts after ``threshold`` clean Vtrue
+    copies, then queues ``copies`` Vtrue sends; every other DATA value it
+    hears (a jam) queues a NACK, so a drained node is re-armed mid-slot.
+    """
+
+    def __init__(self, *, threshold, copies, source=False):
+        self.threshold = threshold
+        self.copies = copies
+        self.queue = deque()
+        self.clean = 0
+        self.decided = False
+        self.heard = []
+        if source:
+            self._accept()
+
+    def _accept(self):
+        self.decided = True
+        self.queue.extend([(VTRUE, MessageKind.DATA)] * self.copies)
+
+    def has_pending(self):
+        return bool(self.queue)
+
+    def pop_send(self):
+        return self.queue.popleft()
+
+    def on_receive(self, sender, value, kind):
+        self.heard.append((sender, value, kind))
+        if kind is not MessageKind.DATA:
+            return
+        if value != VTRUE:
+            self.queue.append((-2, MessageKind.NACK))
+            return
+        self.clean += 1
+        if not self.decided and self.clean >= self.threshold:
+            self._accept()
+
+    def on_round_end(self, round_index):
+        pass
+
+
+def _queue_node_jam_run(batch_per_slot, *, fast):
+    """One 12x12 torus run of queue relays against the threshold jammer.
+
+    Returns ``(stats, nodes, jammer, ledger, on_slot calls with a
+    non-empty honest list while the jammer had budget)``.
+    """
+    grid = Grid(GridSpec(12, 12, r=1, torus=True), fast=fast)
+    source = grid.id_of((0, 0))
+    bad = [grid.id_of(xy) for xy in ((2, 2), (5, 7), (9, 3), (7, 10), (11, 6))]
+    table = NodeTable(grid, source=source, bad=bad)
+    threshold = 3
+    ledger = BudgetLedger(
+        grid.n, default_budget=None, overrides={b: 2 for b in bad}
+    )
+    nodes = {
+        nid: _QueueRelayNode(
+            threshold=threshold, copies=4, source=nid == source
+        )
+        for nid in table.good_ids
+    }
+    jammer = ThresholdGuardJammer(grid, table, ledger, threshold=threshold)
+    jammer.bind_decided(nodes)
+    calls = 0
+    on_slot = jammer.on_slot
+
+    def counting(round_index, slot, honest):
+        # Only calls the batched loop must make too: it stops consulting
+        # a jammer that is out of budget.
+        nonlocal calls
+        calls += bool(honest) and any(ledger.can_send(b) for b in bad)
+        return on_slot(round_index, slot, honest)
+
+    jammer.on_slot = counting
+    driver = RoundDriver(
+        grid,
+        table,
+        nodes,
+        jammer,
+        ledger,
+        batch_per_slot=batch_per_slot,
+        medium=Medium(grid, fast=fast),
+        fast=fast,
+    )
+    stats = driver.run(RunLimits(max_rounds=200))
+    return stats, nodes, jammer, ledger, calls
 
 
 class TestInactiveAdversaryEquivalence:
