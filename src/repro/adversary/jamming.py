@@ -245,7 +245,7 @@ class ThresholdGuardJammer(Adversary):
         Per segment: a segment that reached the sender's whole
         neighborhood adds ``repeat`` copies at each of the sender's
         protected neighbors; a partial one is filtered by the protected
-        mask. A plain delivery list is wrapped first.
+        mask.
         """
         clean = self._clean
         protected = self._protected_mask
@@ -253,9 +253,7 @@ class ThresholdGuardJammer(Adversary):
         full = self.grid._neighbors_sorted
         vtrue = self.vtrue
         data = MessageKind.DATA
-        for sender, value, kind, corrupted, receivers in DeliveryBatch.of(
-            deliveries
-        ).segments:
+        for sender, value, kind, corrupted, receivers in deliveries.segments:
             if corrupted or kind is not data or value != vtrue:
                 continue
             if receivers is full[sender]:

@@ -249,24 +249,7 @@ class Grid:
     # -- construction -----------------------------------------------------
 
     def _build_neighbors(self) -> list[tuple[NodeId, ...]]:
-        offsets = linf_ball_offsets(self.r)
-        width, height = self.width, self.height
-        table: list[tuple[NodeId, ...]] = []
-        for node_id in range(self.n):
-            x, y = node_id % width, node_id // width
-            if self.torus:
-                ids = tuple(
-                    ((y + dy) % height) * width + ((x + dx) % width)
-                    for dx, dy in offsets
-                )
-            else:
-                ids = tuple(
-                    (y + dy) * width + (x + dx)
-                    for dx, dy in offsets
-                    if 0 <= x + dx < width and 0 <= y + dy < height
-                )
-            table.append(ids)
-        return table
+        return [self._offset_row(node_id) for node_id in range(self.n)]
 
     def _build_flat_neighbors(self) -> None:
         """Build the dense CSR neighbor table from the offset-order tuples.
@@ -293,7 +276,7 @@ class Grid:
         ``id + sorted(dy*width + dx)`` — a single broadcast add, no
         per-row sort. Only the O(r * perimeter) rows within ``r`` of an
         edge wrap (torus) or truncate (bounded); those few are fixed up
-        with the scalar formula. The legacy per-node tuple views
+        from :meth:`_offset_row`. The legacy per-node tuple views
         (``_neighbors`` in offset order, ``_neighbors_sorted``
         ascending) become lazy slices so a 10^6-node grid never
         materializes a million tuples it will not touch.
@@ -311,19 +294,8 @@ class Grid:
         edge = (xs < r) | (xs >= width - r) | (ys < r) | (ys >= height - r)
         sentinel = n  # bounded rows are padded; sentinels never survive
         for v in _np.nonzero(edge)[0].tolist():
-            x, y = v % width, v // width
-            if self.torus:
-                row = sorted(
-                    ((y + dy) % height) * width + ((x + dx) % width)
-                    for dx, dy in offsets
-                )
-            else:
-                row = sorted(
-                    (y + dy) * width + (x + dx)
-                    for dx, dy in offsets
-                    if 0 <= x + dx < width and 0 <= y + dy < height
-                )
-                row += [sentinel] * (k - len(row))
+            row = sorted(self._offset_row(v))
+            row += [sentinel] * (k - len(row))  # bounded rows only
             cols[v, :] = row
         if self.torus:
             flat_np = cols.reshape(-1)
@@ -339,7 +311,11 @@ class Grid:
         self._neighbors_sorted = _LazyNeighborView(n, self._sorted_row)
 
     def _offset_row(self, node_id: NodeId) -> tuple[NodeId, ...]:
-        """One node's neighbors in ball-offset order (the legacy order)."""
+        """One node's neighbors in ball-offset order (the legacy order).
+
+        The one copy of the torus/bounded neighbor formula: both grid
+        builds derive their rows from it.
+        """
         offsets = linf_ball_offsets(self.r)
         width, height = self.width, self.height
         x, y = node_id % width, node_id // width

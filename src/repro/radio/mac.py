@@ -140,11 +140,13 @@ class AdversaryLike(Protocol):
         """Full omniscient view of what was just delivered, ``repeat`` times.
 
         Always a :class:`~repro.radio.medium.DeliveryBatch`, at every
-        tier: per-transmission ``segments`` for bulk bookkeeping, or
-        iterate it for receiver-ordered
-        :class:`~repro.radio.medium.Delivery` records. ``repeat > 1``
-        stands for that many identical consecutive bursts of one slot,
-        exactly as if each had been observed in turn.
+        tier: :meth:`~repro.radio.medium.Medium.resolve_slot` returns one
+        at both ``fast`` settings and the driver passes it on as is. Read
+        per-transmission ``segments`` for bulk bookkeeping, or iterate it
+        for receiver-ordered :class:`~repro.radio.medium.Delivery`
+        records. ``repeat > 1`` stands for that many identical
+        consecutive bursts of one slot, exactly as if each had been
+        observed in turn.
         """
 
     def has_pending(self) -> bool:
@@ -481,7 +483,7 @@ class RoundDriver:
                     continue
                 if pending_batch is not None:
                     self._flush(pending_batch, multiplicity, round_index)
-                pending_batch = self._resolve(honest_txs, byz_txs)
+                pending_batch = self.medium.resolve_slot(honest_txs, byz_txs)
                 prev_honest = honest_txs
                 prev_byz = byz_txs
                 multiplicity = 1
@@ -499,12 +501,6 @@ class RoundDriver:
             for nid in self._honest_ids:
                 nodes[nid].on_round_end(round_index)
         return transmitted
-
-    def _resolve(
-        self, honest: list[Transmission], byzantine: list[BadTransmission]
-    ) -> DeliveryBatch:
-        """Resolve one slot; the one place a plain reference list is wrapped."""
-        return DeliveryBatch.of(self.medium.resolve_slot(honest, byzantine))
 
     def _flush(
         self, batch: DeliveryBatch, multiplicity: int, round_index: int
@@ -586,7 +582,7 @@ class RoundDriver:
                 self.stats.honest_transmissions += len(honest_txs)
                 self.stats.byzantine_transmissions += len(byz_txs)
 
-                deliveries = self._resolve(honest_txs, byz_txs)
+                deliveries = self.medium.resolve_slot(honest_txs, byz_txs)
                 self._distribute(deliveries, round_index, slot)
 
         for nid in self._honest_ids:

@@ -57,28 +57,18 @@ appears in at most one segment of a batch.
   ``corrupted=True`` segment per ``(apparent sender, value, kind)`` over
   the collision receivers.
 
-Per-delivery consumers (reactive nodes, tests, oracles) still see a
-sequence of :class:`Delivery` records: iterating, indexing, ``len`` and
-``==`` go through a **materialized view**, built once per batch and
-cached as a tuple. It is ordered by receiver and equals
-``resolve_slot_reference``'s list. Its uncollided deliveries come from
-**delivery rows**: a medium caches, per ``(sender, value, kind)``, the
-tuple of :class:`Delivery` objects that one transmission yields where it
-is heard alone, one per receiver in ``neighbors_sorted`` order. The cache
-is bounded by the number of deliveries it holds (not rows, so the bound
-does not depend on ``r``) and dropped wholesale when full. Rows are built
-only when a view is.
-
-Uncollided deliveries are therefore *shared*: the same transmission
-heard alone by the same receiver is the same :class:`Delivery` object
-in every view built while its row stays cached. That is safe because a
-:class:`Delivery` is an immutable ``NamedTuple``; as a tuple it also
-compares equal to the plain 5-tuple ``(receiver, sender, value, kind,
-corrupted)``.
+Per-delivery consumers (tests, the reference round loop) still see a
+sequence of :class:`Delivery` records: iterating, indexing, ``==`` and
+``repr`` go through a **materialized view**, one :class:`Delivery` per
+receiver, built from the segments on first use and cached as a tuple.
+It is ordered by receiver and equals ``resolve_slot_reference``'s list.
+No fast-path consumer builds one.
 
 The historical dict-based implementation is preserved as
 ``resolve_slot_reference``; the determinism suite asserts both produce
-byte-for-byte identical delivery lists.
+byte-for-byte identical delivery lists. ``resolve_slot`` returns a
+:class:`DeliveryBatch` at both ``fast`` settings: ``fast=False`` wraps
+the reference list, and an empty slot is one shared empty batch.
 
 Batches are immutable (segments and views are tuples), and memo hits
 return the *same cached batch object* rather than a fresh copy, which
@@ -108,11 +98,6 @@ from repro.types import NodeId, Value
 #: the memo without bound (the memo is simply dropped when full).
 _SLOT_MEMO_LIMIT = 2048
 
-#: Delivery-row bound, counted in deliveries held rather than rows so it
-#: does not depend on ``r`` (the rows are dropped wholesale when a new
-#: row would pass it).
-_ROW_DELIVERY_LIMIT = 1 << 17
-
 
 class Delivery(NamedTuple):
     """One value delivered to one receiver in one slot.
@@ -122,9 +107,8 @@ class Delivery(NamedTuple):
     receiving protocol node never sees it (receivers cannot detect
     collisions in this model).
 
-    An immutable tuple: uncollided deliveries are shared between batches
-    (see the module docstring), and a delivery compares equal to the
-    plain 5-tuple of its fields.
+    An immutable tuple; a delivery compares equal to the plain 5-tuple
+    of its fields.
     """
 
     receiver: NodeId
@@ -149,10 +133,9 @@ class BatchPlanCache:
     for the entry's lifetime; the identity recheck guards recycled
     addresses after a clear. Bounded: dropped wholesale when full.
 
-    No program code calls this (or :func:`shared_plan_cache`) since the
-    consumers work per segment; ``perfbench`` still wraps
-    ``BatchPlanCache.get`` and clears ``_PLAN_CACHES``, so both stay
-    until the benchmark stops naming them.
+    No program code calls this since the consumers work per segment;
+    ``perfbench`` still wraps ``BatchPlanCache.get`` and clears
+    ``_PLAN_CACHES``, so both stay until the benchmark stops naming them.
     """
 
     __slots__ = ("_plans", "limit")
@@ -173,27 +156,21 @@ class BatchPlanCache:
         self._plans[id(batch)] = (plan, batch)
 
 
-#: Shared plan caches keyed by what the plan's content depends on (e.g.
-#: ``("threshold", n, good-ids)``), so repeated runs of one scenario
-#: shape — a sweep's points inside one worker — reuse plans instead of
-#: rebuilding them per run. Process-local, like the batches themselves.
+#: Plan caches keyed by what the plan's content depends on. Nothing
+#: fills it; ``perfbench`` clears it between passes.
 _PLAN_CACHES: dict[tuple, BatchPlanCache] = {}
-_PLAN_CACHE_REGISTRY_LIMIT = 64
 
 
-def shared_plan_cache(signature: tuple) -> BatchPlanCache:
-    """The process-wide :class:`BatchPlanCache` for a plan signature.
-
-    Callers must fold *everything* their plan derives from (beyond the
-    batch content itself) into ``signature`` — two consumers with equal
-    signatures will happily share plans.
-    """
-    cache = _PLAN_CACHES.get(signature)
-    if cache is None:
-        if len(_PLAN_CACHES) >= _PLAN_CACHE_REGISTRY_LIMIT:
-            _PLAN_CACHES.clear()
-        cache = _PLAN_CACHES[signature] = BatchPlanCache()
-    return cache
+def _materialize(segments: tuple[Segment, ...]) -> tuple[Delivery, ...]:
+    """The receiver-ordered :class:`Delivery` view of a batch's segments."""
+    out = [
+        Delivery(receiver, sender, value, kind, corrupted)
+        for sender, value, kind, corrupted, receivers in segments
+        for receiver in receivers
+    ]
+    if len(segments) > 1:
+        out.sort()  # receivers are unique, so this orders by receiver
+    return tuple(out)
 
 
 class DeliveryBatch:
@@ -210,9 +187,9 @@ class DeliveryBatch:
     engines).
     """
 
-    __slots__ = ("_segments", "size", "corrupted_count", "_medium", "_view")
+    __slots__ = ("_segments", "size", "corrupted_count", "_view")
 
-    def __init__(self, segments: tuple[Segment, ...], medium: Medium) -> None:
+    def __init__(self, segments: tuple[Segment, ...]) -> None:
         size = corrupted = 0
         for segment in segments:
             count = len(segment[4])
@@ -222,25 +199,20 @@ class DeliveryBatch:
         self._segments: tuple[Segment, ...] | None = segments
         self.size = size
         self.corrupted_count = corrupted
-        self._medium: Medium | None = medium
         self._view: tuple[Delivery, ...] | None = None
 
     @classmethod
-    def of(cls, deliveries) -> DeliveryBatch:
-        """``deliveries`` itself if it is a batch, else a batch over it.
+    def of(cls, deliveries: list[Delivery]) -> DeliveryBatch:
+        """A batch over a plain receiver-sorted delivery list.
 
-        Wraps a plain receiver-sorted delivery list (the reference
-        resolver's output): the list is the view, and the segments — one
-        per delivery — are built only if a consumer asks for them, so a
-        reference run pays for them only under an adversary that reads
-        them.
+        Wraps the reference resolver's output: the list is the view, and
+        the segments — one per delivery — are built only if a consumer
+        asks for them, so a reference run pays for them only under an
+        adversary that reads them.
         """
-        if isinstance(deliveries, DeliveryBatch):
-            return deliveries
         batch = cls.__new__(cls)
         batch._view = view = tuple(deliveries)
         batch._segments = None
-        batch._medium = None
         batch.size = len(view)
         batch.corrupted_count = sum([1 for delivery in view if delivery[4]])
         return batch
@@ -261,7 +233,7 @@ class DeliveryBatch:
         """The receiver-ordered :class:`Delivery` view (built once)."""
         view = self._view
         if view is None:
-            view = self._view = self._medium._materialize(self._segments)
+            view = self._view = _materialize(self._segments)
         return view
 
     def __len__(self) -> int:
@@ -282,6 +254,10 @@ class DeliveryBatch:
 
     def __repr__(self) -> str:
         return f"DeliveryBatch({list(self.deliveries)!r})"
+
+
+#: What every empty slot resolves to (immutable, so one is shared).
+_EMPTY_BATCH = DeliveryBatch(())
 
 
 def _apparent_sender(
@@ -334,29 +310,24 @@ class Medium:
         # input, including list order (which breaks equal-id Byzantine
         # ties). Hits return the cached batch itself (no copy).
         self._slot_memo: dict[tuple, DeliveryBatch] = {}
-        # (sender, value, kind) -> that transmission's uncollided
-        # deliveries, one per receiver in neighbors_sorted(sender) order.
-        # _row_deliveries counts the deliveries held, for the bound.
-        self._rows: dict[tuple, tuple[Delivery, ...]] = {}
-        self._row_deliveries = 0
 
     def resolve_slot(
         self,
         honest: list[Transmission],
         byzantine: list[BadTransmission],
-    ) -> list[Delivery] | DeliveryBatch:
+    ) -> DeliveryBatch:
         """Compute all deliveries for one slot.
 
         Honest transmissions in the same slot must be mutually
         non-interfering (the TDMA coloring guarantees it); a violation
         raises :class:`ScheduleConflictError` because it indicates a bug,
-        not an attack. Returns a :class:`DeliveryBatch`, or the reference
-        resolver's plain list when ``fast=False``.
+        not an attack. Returns a :class:`DeliveryBatch` at both ``fast``
+        settings (``fast=False`` wraps the reference resolver's list).
         """
         if not honest and not byzantine:
-            return []
+            return _EMPTY_BATCH
         if not self.fast:
-            return self.resolve_slot_reference(honest, byzantine)
+            return DeliveryBatch.of(self.resolve_slot_reference(honest, byzantine))
         key = (tuple(honest), tuple(byzantine))
         cached = self._slot_memo.get(key)
         if cached is not None:
@@ -411,47 +382,8 @@ class Medium:
             tuple([
                 (tx.sender, tx.value, tx.kind, False, neighbors[tx.sender])
                 for tx in txs
-            ]),
-            self,
-        )
-
-    def _row(
-        self, sender: NodeId, value: Value, kind: MessageKind
-    ) -> tuple[Delivery, ...]:
-        """The uncollided deliveries of one transmission (cached row)."""
-        key = (sender, value, kind)
-        row = self._rows.get(key)
-        if row is None:
-            row = tuple([
-                Delivery(receiver, sender, value, kind, False)
-                for receiver in self.grid.neighbors_sorted(sender)
             ])
-            if self._row_deliveries + len(row) > _ROW_DELIVERY_LIMIT:
-                self._rows.clear()
-                self._row_deliveries = 0
-            self._rows[key] = row
-            self._row_deliveries += len(row)
-        return row
-
-    def _materialize(self, segments: tuple[Segment, ...]) -> tuple[Delivery, ...]:
-        """A batch's receiver-ordered delivery view (rows for clean ones)."""
-        out: list[Delivery] = []
-        for sender, value, kind, corrupted, receivers in segments:
-            if corrupted:
-                out.extend([
-                    Delivery(receiver, sender, value, kind, True)
-                    for receiver in receivers
-                ])
-                continue
-            row = self._row(sender, value, kind)
-            if len(receivers) == len(row):
-                out.extend(row)
-            else:
-                heard = set(receivers)
-                out.extend([d for d in row if d[0] in heard])
-        if len(segments) > 1:
-            out.sort()  # receivers are unique, so this orders by receiver
-        return tuple(out)
+        )
 
     def _ensure_scratch(self) -> None:
         n = self.grid.n
@@ -579,7 +511,7 @@ class Medium:
                 ))
         for (sender, value, kind), receivers in collided.items():
             segments.append((sender, value, kind, True, tuple(receivers)))
-        return DeliveryBatch(tuple(segments), self)
+        return DeliveryBatch(tuple(segments))
 
     # -- reference path ----------------------------------------------------
 

@@ -7,7 +7,7 @@ from repro.errors import ConfigurationError
 from repro.network.grid import Grid, GridSpec
 from repro.network.node import NodeTable
 from repro.radio.budget import BudgetLedger
-from repro.radio.medium import Delivery, Medium
+from repro.radio.medium import Delivery, DeliveryBatch, Medium
 from repro.radio.messages import MessageKind, Transmission
 
 
@@ -95,12 +95,12 @@ class TestThresholdGuardJammer:
             grid, table, ledger, threshold=5, protected=[receiver]
         )
         jammer.observe(
-            [
+            DeliveryBatch.of([
                 Delivery(receiver, 1, 1, MessageKind.DATA, corrupted=False),
                 Delivery(receiver, 1, 1, MessageKind.DATA, corrupted=True),
                 Delivery(receiver, 1, 0, MessageKind.DATA, corrupted=False),
                 Delivery(receiver, 1, 1, MessageKind.NACK, corrupted=False),
-            ]
+            ])
         )
         assert jammer.clean_copies_at(receiver) == 1
 

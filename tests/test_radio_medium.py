@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import repro.radio.medium as medium_module
 from repro.errors import ConfigurationError, ScheduleConflictError
 from repro.network.grid import Grid, GridSpec
 from repro.protocols.flat import FlatThresholdEngine
@@ -269,12 +268,16 @@ class TestFastPathEquivalence:
         grid = Grid(GridSpec(12, 12, r=1, torus=True))
         assert Medium(grid).fast  # fast path is the shipped default
         assert not Medium(grid, fast=False).fast
-        medium = Medium(grid, fast=True)
-        honest = [Transmission(grid.id_of((5, 5)), 1)]
-        byzantine = [BadTransmission(grid.id_of((6, 6)), 0)]
-        assert medium.resolve_slot(
-            honest, byzantine
-        ) == medium.resolve_slot_reference(honest, byzantine)
+        jammed = (
+            [Transmission(grid.id_of((5, 5)), 1)],
+            [BadTransmission(grid.id_of((6, 6)), 0)],
+        )
+        # One return shape at both settings, for an empty slot too.
+        for medium in (Medium(grid, fast=True), Medium(grid, fast=False)):
+            for honest, byzantine in (([], []), jammed):
+                batch = medium.resolve_slot(honest, byzantine)
+                assert type(batch) is DeliveryBatch
+                assert batch == medium.resolve_slot_reference(honest, byzantine)
 
     def test_memo_hits_return_identity_stable_batches(self):
         # Memo hits hand out the *same* cached batch object (its stable
@@ -328,18 +331,16 @@ class TestFastPathEquivalence:
         )
         assert deliveries == reference
 
-    def test_multi_honest_streams_match_reference(self, monkeypatch):
+    def test_multi_honest_streams_match_reference(self):
         # The driver's common miss: several honest owners of one TDMA
         # class plus a few Byzantine transmissions, resolved on one
-        # long-lived medium so delivery rows are reused across slots.
-        # A tiny row bound forces the row cache to drop mid-stream.
-        monkeypatch.setattr(medium_module, "_ROW_DELIVERY_LIMIT", 200)
+        # long-lived medium so its scratch is reused across slots.
         grid = MEDIUM_GRID
         fast = Medium(grid)
         reference = Medium(grid, fast=False)
         rng = random.Random(7)
         kinds = [MessageKind.DATA, MessageKind.NACK]
-        drops = multi_honest = 0
+        multi_honest = 0
         for _ in range(600):
             slot = rng.randrange(MEDIUM_SCHEDULE.period)
             honest = [
@@ -373,47 +374,12 @@ class TestFastPathEquivalence:
                         spoof_sender=spoof,
                     )
                 )
-            held = fast._row_deliveries
             batch = fast.resolve_slot(honest, byzantine)
             if honest or byzantine:
                 assert_segment_invariants(batch, grid)
             assert batch == reference.resolve_slot(honest, byzantine)
-            drops += fast._row_deliveries < held
             multi_honest += len(honest) > 1
-        assert drops > 0
         assert multi_honest > 200
-
-
-class TestSharedDeliveries:
-    """Uncollided deliveries are shared row objects; batches are not."""
-
-    def test_repeated_transmission_shares_delivery_objects(self):
-        grid, medium = make_medium()
-        sender = grid.id_of((5, 5))
-        tx = Transmission(sender, 1)
-        jammed = medium.resolve_slot([tx], [BadTransmission(grid.id_of((7, 5)), 0)])
-        other = grid.id_of((0, 9))  # far away: no common receiver
-        paired = medium.resolve_slot([tx, Transmission(other, 2)], [])
-        assert jammed is not paired
-        first = {d.receiver: d for d in jammed if d.sender == sender}
-        second = {d.receiver: d for d in paired if d.sender == sender}
-        uncollided = [r for r in first if not first[r].corrupted]
-        assert uncollided
-        for receiver in uncollided:
-            assert first[receiver] is second[receiver]
-
-    def test_lone_batch_is_fresh_over_the_row(self):
-        grid, medium = make_medium()
-        tx = Transmission(grid.id_of((5, 5)), 1)
-        first = medium.resolve_slot([tx], [])
-        medium._slot_memo.clear()
-        second = medium.resolve_slot([tx], [])
-        assert type(first) is DeliveryBatch and type(second) is DeliveryBatch
-        assert first.corrupted_count == 0 and second.corrupted_count == 0
-        assert first is not second
-        assert all(a is b for a, b in zip(first, second, strict=True))
-        # The batch is a list over the row, never the cached row tuple.
-        assert not any(first is row for row in medium._rows.values())
 
     def test_delivery_is_an_immutable_record(self):
         delivery = Delivery(3, 4, 1, MessageKind.NACK, corrupted=True)
@@ -428,8 +394,8 @@ class TestSharedDeliveries:
         )
 
     def test_scratch_idle_after_conflict_mid_row(self):
-        # Two adjacent honest senders collide after lower receivers were
-        # already emitted from their rows, and a Byzantine sender marks
+        # Two adjacent honest senders collide after the walk has marked
+        # part of their neighbor rows, and a Byzantine sender marks
         # controllers elsewhere: every scratch buffer must come back idle.
         grid, medium = make_medium()
         n = grid.n

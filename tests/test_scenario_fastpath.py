@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.protocols.vectorized as vectorized
+import repro.radio.medium as medium_module
 import repro.scenario.runner as runner_mod
 from repro.adversary.jamming import ThresholdGuardJammer
 from repro.adversary.placement import RandomPlacement, StripePlacement
@@ -147,6 +148,20 @@ class TestFlatEngineAndDriverEquivalence:
         )
         fast, reference = _run_both(spec)
         _assert_reports_identical(fast, reference)
+
+    @pytest.mark.parametrize("name", ["reactive", "quickstart", "theorem2"])
+    def test_fast_tier_reads_segments_only(self, name, monkeypatch):
+        # The no-engine branch (reactive), the jammer's observe and the
+        # quiet horizon's coalescing (theorem2, batch_per_slot=4) all
+        # consume segments: building a Delivery view from them fails.
+        spec = preset(name)
+        reference = run(spec, tier=Tier.REFERENCE)
+
+        def no_view(segments):
+            raise AssertionError("the fast tier built a Delivery view")
+
+        monkeypatch.setattr(medium_module, "_materialize", no_view)
+        _assert_reports_identical(run(spec, tier=Tier.FAST), reference)
 
     @pytest.mark.slow
     def test_figure2_paper_instance(self):
