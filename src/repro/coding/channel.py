@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.coding.bits import Bits, as_bits
+from repro.coding.bits import Bits, as_bits, unpack_bits
 from repro.coding.subbit import SubbitCodec
 from repro.errors import CodingError
 
@@ -75,10 +75,7 @@ class UnidirectionalChannel:
         """
         length = self.codec.block_length
         attack = [0] * signal_length
-        while True:
-            guess = [rng.getrandbits(1) for _ in range(length)]
-            if any(guess):
-                break
+        guess = unpack_bits(self.codec.draw_block(rng), length)
         attack[block_index * length : (block_index + 1) * length] = guess
         return tuple(attack)
 

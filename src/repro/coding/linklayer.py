@@ -130,6 +130,7 @@ class CodedLinkSession:
         self.max_rounds = max_rounds
         self.sim = Simulator()
         self.word = chain.encode(message)
+        self.nack_word = chain.encode((1,) * chain.k)  # protocol constant
         self.round_slots = len(self.word) * codec.block_length
         self._received_ok = [False] * n_receivers
         self._pending_nacks = 0
@@ -161,9 +162,8 @@ class CodedLinkSession:
     def _transmit_nack(self) -> None:
         """One NACK message round (NACKs are coded messages too)."""
         self.outcome.nack_rounds += 1
-        nack_word = self.chain.encode(tuple([1] * self.chain.k))  # protocol constant
-        signal = self.codec.encode(nack_word)
-        received = self.attacker.maybe_attack(signal, nack_word, is_nack=True)
+        signal = self.codec.encode(self.nack_word)
+        received = self.attacker.maybe_attack(signal, self.nack_word, is_nack=True)
         bits = self.codec.decode(received)
         # Either a well-formed NACK or detected garbage: both indicate
         # failure to the sender. Only a full cancellation (all-silent

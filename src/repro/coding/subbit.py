@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.coding.bits import Bits, as_bits
+from repro.coding.bits import Bits, as_bits, draw_packed, unpack_bits
 from repro.errors import CodingError
 
 
@@ -47,18 +47,26 @@ class SubbitCodec:
 
     # -- encoding -------------------------------------------------------------
 
+    def draw_block(self, rng: random.Random) -> int:
+        """A uniformly random non-silent block, packed (see ``draw_packed``).
+
+        Sub-bit ``j`` is bit ``32j + 31``; a silent draw is redrawn. XOR of
+        two packed blocks is the superposition of
+        :class:`~repro.coding.channel.UnidirectionalChannel`, and a packed
+        block decodes to 0 iff it is 0.
+        """
+        while True:
+            block = draw_packed(self.block_length, rng)
+            if block:
+                return block
+
     def encode_bit(self, bit: int) -> Bits:
         """One bit to one sub-bit block."""
         if bit == 0:
             return (0,) * self.block_length
         if bit != 1:
             raise CodingError(f"bit must be 0 or 1, got {bit!r}")
-        while True:
-            block = tuple(
-                self.rng.getrandbits(1) for _ in range(self.block_length)
-            )
-            if any(block):
-                return block
+        return unpack_bits(self.draw_block(self.rng), self.block_length)
 
     def encode(self, bits: Bits) -> Bits:
         """A bit string to its flat sub-bit signal."""

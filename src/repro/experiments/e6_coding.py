@@ -21,13 +21,11 @@ points stay plain parameter dataclasses rather than
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.coding.bits import random_bits
 from repro.coding.chain import ChainCode, demonstrate_all_zero_forgery
-from repro.coding.channel import UnidirectionalChannel
 from repro.coding.icode import ICode
 from repro.coding.params import (
     attack_success_probability,
@@ -136,18 +134,21 @@ def _run_cancellation_point(point: CancellationPoint) -> CancellationRow:
     Streams are named exactly as the historical serial loop named them —
     ``("encode", L)`` and ``("attack", L)`` off ``RngRegistry(seed)`` — so
     results are bit-identical regardless of which worker runs the point.
+
+    A trial is the channel's XOR algebra on packed blocks: the victim's
+    1-block (``encode_bit(1)``) superposed with the adversary's guess
+    (``cancel_attack``) is received silent, i.e. decodes to 0, iff the XOR
+    is 0. Each stream is drawn exactly as those methods draw it.
     """
     length = point.block_length
     registry = RngRegistry(point.seed)
     codec = SubbitCodec(block_length=length, rng=registry.stream("encode", length))
-    channel = UnidirectionalChannel(codec)
-    attack_rng: random.Random = registry.stream("attack", length)
+    encode_rng = codec.rng
+    attack_rng = registry.stream("attack", length)
+    draw = codec.draw_block
     successes = 0
     for _ in range(point.trials):
-        signal = codec.encode_bit(1)
-        attack = channel.cancel_attack(len(signal), 0, attack_rng)
-        received = channel.transmit(signal, attack)
-        if codec.decode_block(received) == 0:
+        if not draw(encode_rng) ^ draw(attack_rng):
             successes += 1
     return CancellationRow(
         block_length=length,
