@@ -35,10 +35,16 @@ class Adversary(ABC):
 
     Fast-path hook (see :class:`~repro.radio.mac.AdversaryLike`):
 
-    - :meth:`quiet_bursts`: override on stateful-``observe`` subclasses
-      that can promise to let further bursts identical to the last
-      ``on_slot`` input through; the driver then coalesces them
-      without calling ``on_slot``. The default, 0, promises nothing.
+    - :meth:`quiet_bursts`: override on subclasses that can promise to
+      let further bursts identical to the last ``on_slot`` input
+      through; the driver then coalesces them without calling
+      ``on_slot``, with or without burst dedup. The default, 0,
+      promises nothing.
+
+    ``on_slot`` must treat its ``honest`` list as read-only (the driver
+    may pass one list object for a whole run of bursts) and must not
+    read honest senders' ledger or pending state, which the driver
+    settles at the start of each slot.
 
     Additionally, every adversary must satisfy the driver contract that
     ``on_slot`` is an effect-free ``[]`` once no bad node has ledger

@@ -292,6 +292,10 @@ class PlannedJammer(Adversary):
     Purely reactive and observe-stateless: ``on_slot`` reads only the
     plan quotas and the ledger, so the driver may skip empty slots and
     dedup repeated bursts (the Figure-2 source phase is 2001 of them).
+    Quotas and budgets only shrink, so once ``on_slot`` answers ``[]``
+    for some honest list it answers ``[]`` for every equal one after
+    it: :meth:`quiet_bursts` then promises an unbounded horizon, and the
+    driver stops consulting the jammer for the rest of that run.
     """
 
     spontaneous = False
@@ -311,6 +315,8 @@ class PlannedJammer(Adversary):
         self.ledger = ledger
         self.wrong_value = wrong_value
         self.jams = 0
+        # further identical bursts the last on_slot is certain to let through
+        self._quiet = 0
         # victim sender -> [(jammer, remaining quota)]
         self._assignments: dict[NodeId, list[list[int | None]]] = {}
         for jammer, victims in plan.items():
@@ -340,7 +346,12 @@ class PlannedJammer(Adversary):
                     BadTransmission(sender=jammer, value=self.wrong_value)
                 )
         self.jams += len(actions)
+        self._quiet = 0 if actions else sys.maxsize
         return actions
+
+    def quiet_bursts(self) -> int:
+        """Unbounded after an ``[]`` answer, 0 after a jam."""
+        return self._quiet
 
 
 def _build_threshold_guard(ctx) -> ThresholdGuardJammer:

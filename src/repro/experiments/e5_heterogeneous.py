@@ -19,7 +19,6 @@ from typing import Callable
 
 from repro.adversary.placement import RandomPlacement, two_stripe_band
 from repro.analysis.bounds import m0, protocol_b_relay_count
-from repro.analysis.budgets import heterogeneous_assignment
 from repro.network.grid import Grid, GridSpec
 from repro.runner.parallel import ResultCache
 from repro.runner.parallel import sweep as parallel_sweep
@@ -103,15 +102,17 @@ class HeterogeneousSweepPoint:
 def _run_heterogeneous_point(
     point: HeterogeneousSweepPoint,
 ) -> HeterogeneousPoint:
-    """Rebuild and run one B_heter scenario (worker-safe)."""
+    """Rebuild and run one B_heter scenario (worker-safe).
+
+    The Figure-5 assignment is the one the run's ``heter`` build made
+    (``heterogeneous_assignment`` over the report's grid and source).
+    """
     width, r, t, mf = point.width, point.r, point.t, point.mf
     lower = m0(r, t, mf)
     homogeneous = 2 * lower
-    spec = GridSpec(width=width, height=width, r=r, torus=True)
-    grid = Grid(spec)
-    source = grid.id_of((0, 0))
-    assignment = heterogeneous_assignment(grid, source, t, mf)
     report = run_scenario(point.scenario())
+    grid = report.grid
+    assignment = report.assignment
     return HeterogeneousPoint(
         width=width,
         r=r,

@@ -75,7 +75,9 @@ class BroadcastNode(ABC):
         "_pending_msg",
         "_pending_count",
         "_current_round",
-        "received_total",
+        "_received_total",
+        "_tally",
+        "__weakref__",
     )
 
     def __init__(self, node_id: NodeId, role: Role, params: BroadcastParams) -> None:
@@ -96,7 +98,10 @@ class BroadcastNode(ABC):
         )
         self._pending_count = 0
         self._current_round = 0
-        self.received_total = 0
+        self._received_total = 0
+        # A flat-engine run leaves its accounting here instead of in the
+        # fields above; the first read fills them (see _settle).
+        self._tally = None
         if role is Role.SOURCE:
             self._decide(params.vtrue)
             self._pending_count = self.initial_source_sends()
@@ -151,14 +156,49 @@ class BroadcastNode(ABC):
         self._pending_count -= 1
         return self._pending_msg
 
+    def pop_sends(self, limit: int) -> tuple[int, tuple[Value, MessageKind]]:
+        """Dequeue up to ``limit`` sends at once: ``(count, message)``.
+
+        The pending sends are ``_pending_count`` copies of one message,
+        so ``count`` calls of :meth:`pop_send` would return this message
+        every time; the flat-engine driver takes a slot's copies here in
+        one call.
+        """
+        count = self._pending_count
+        if count <= 0:
+            raise ConfigurationError(f"node {self.node_id} has nothing to send")
+        if count > limit:
+            count = limit
+        self._pending_count -= count
+        return count, self._pending_msg
+
     def on_receive(self, sender: NodeId, value: Value, kind: MessageKind) -> None:
         if kind is not MessageKind.DATA:
             return
-        self.received_total += 1
+        self._received_total += 1
         self.on_value(sender, value)
 
     def on_round_end(self, round_index: int) -> None:
         self._current_round = round_index + 1
+
+    # -- accounting (filled on first read after a flat-engine run) ---------
+
+    @property
+    def received_total(self) -> int:
+        """DATA deliveries this node has heard."""
+        if self._tally is not None:
+            self._settle()
+        return self._received_total
+
+    def _settle(self) -> None:
+        """Fill the accounting fields from the run's shared tally, once.
+
+        Subclasses extend it with the fields they keep; the tally is a
+        :class:`~repro.protocols.flat.RunTally`.
+        """
+        tally = self._tally
+        self._tally = None
+        self._received_total = tally.received_total(self.node_id)
 
 
 class ThresholdNode(BroadcastNode):
@@ -171,7 +211,7 @@ class ThresholdNode(BroadcastNode):
     heterogeneous configuration).
     """
 
-    __slots__ = ("_relay_count", "_threshold", "value_counts")
+    __slots__ = ("_relay_count", "_threshold", "_value_counts")
 
     def __init__(
         self,
@@ -186,16 +226,29 @@ class ThresholdNode(BroadcastNode):
         # Cached once: the t*mf+1 threshold is consulted on every receive,
         # and the property recomputes it from scratch.
         self._threshold = params.threshold
-        self.value_counts: Counter[Value] = Counter()
+        self._value_counts: Counter[Value] = Counter()
         super().__init__(node_id, role, params)
 
     def relay_count(self) -> int:
         return self._relay_count
 
     def on_value(self, sender: NodeId, value: Value) -> None:
-        self.value_counts[value] += 1
-        if not self._decided and self.value_counts[value] >= self._threshold:
+        counts = self._value_counts
+        counts[value] += 1
+        if not self._decided and counts[value] >= self._threshold:
             self._decide(value)
+
+    @property
+    def value_counts(self) -> Counter[Value]:
+        """Copies received per value."""
+        if self._tally is not None:
+            self._settle()
+        return self._value_counts
+
+    def _settle(self) -> None:
+        tally = self._tally
+        super()._settle()
+        self._value_counts = tally.value_counts(self.node_id)
 
     def count_of(self, value: Value) -> int:
         """How many copies of ``value`` this node has received (for reports)."""

@@ -31,7 +31,7 @@ class CpaNode(BroadcastNode):
     uses its own retransmission loop and keeps this at 1.
     """
 
-    __slots__ = ("source_id", "endorsements", "_relay_repeats")
+    __slots__ = ("source_id", "_endorsements", "_relay_repeats")
 
     def __init__(
         self,
@@ -43,7 +43,7 @@ class CpaNode(BroadcastNode):
     ) -> None:
         self.source_id = source_id
         self._relay_repeats = relay_repeats
-        self.endorsements: dict[Value, set[NodeId]] = defaultdict(set)
+        self._endorsements: dict[Value, set[NodeId]] = defaultdict(set)
         super().__init__(node_id, role, params)
 
     def initial_source_sends(self) -> int:
@@ -60,9 +60,22 @@ class CpaNode(BroadcastNode):
         if sender == self.source_id:
             self._decide(value)
             return
-        self.endorsements[value].add(sender)
-        if len(self.endorsements[value]) >= self.params.t + 1:
+        endorsers = self._endorsements[value]
+        endorsers.add(sender)
+        if len(endorsers) >= self.params.t + 1:
             self._decide(value)
+
+    @property
+    def endorsements(self) -> dict[Value, set[NodeId]]:
+        """Distinct non-source endorsers heard per value before deciding."""
+        if self._tally is not None:
+            self._settle()
+        return self._endorsements
+
+    def _settle(self) -> None:
+        tally = self._tally
+        super()._settle()
+        self._endorsements = tally.endorsements(self.node_id)
 
 
 def make_cpa_nodes(

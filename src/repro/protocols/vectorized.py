@@ -415,11 +415,12 @@ class LazyNodeMap(Mapping):
         node = ThresholdNode(
             node_id, role, self._params, relay_count=int(kernel.relay[node_id])
         )
-        node.received_total = int(kernel.received[node_id])
+        node._received_total = int(kernel.received[node_id])
+        value_counts = node._value_counts
         for idx, counts in kernel._counts.items():
             copies = int(counts[node_id])
             if copies:
-                node.value_counts[kernel._values[idx]] = copies
+                value_counts[kernel._values[idx]] = copies
         if kernel.decided[node_id] and role is not Role.SOURCE:
             node._current_round = int(kernel.decide_round[node_id])
             node._decide(kernel._values[int(kernel.accepted_idx[node_id])])

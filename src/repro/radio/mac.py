@@ -31,6 +31,16 @@ needlessly:
   message the adversary is never consulted again (its ``on_slot`` must
   be an effect-free ``[]`` in that state, which every bundled adversary
   satisfies);
+- **sends as runs** — under a flat engine every node is an exact
+  ``ThresholdNode`` or ``CpaNode``, whose sends are copies of one
+  message that change only when it decides. So at the start of a slot
+  each sender takes all ``min(pending, remaining budget,
+  batch_per_slot)`` of its copies with one ``pop_sends`` and one ledger
+  charge, and the slot's bursts become runs: the bursts between two
+  consecutive distinct copy counts carry the same senders, handed to
+  the loop as one list object with a burst count. Per-node runs
+  (reactive and custom nodes) go through the same loop body one burst
+  at a time;
 - **burst dedup** — consecutive identical bursts within one slot
   (Figure 2's 2001-repetition source phase, relay drains) are
   distributed once with a multiplicity instead of once per burst. This
@@ -40,13 +50,15 @@ needlessly:
   observable) or an adversary that is out of budget (then ``observe``
   still runs, once per deferred group with its multiplicity, at flush
   time);
-- **quiet horizon** — a stateful-``observe`` adversary may promise,
-  through ``quiet_bursts()``, to let a number of further bursts
-  identical to its last ``on_slot`` input through untouched (the
-  threshold-guard jammer does, until some receiver nears its
-  threshold). Those repeats are coalesced like dedup's without
-  consulting ``on_slot``; with a horizon of 0 each burst is flushed
-  before the next is sent.
+- **quiet horizon** — an adversary may promise, through
+  ``quiet_bursts()``, to let a number of further bursts identical to
+  its last ``on_slot`` input through untouched (the threshold-guard
+  jammer does until some receiver nears its threshold; the planned
+  jammer, once it answers ``[]``, for good). Those repeats join the
+  pending group without consulting ``on_slot``, under dedup or not;
+  without dedup, at a horizon of 0, each burst is flushed before the
+  next is sent. An inactive adversary is never consulted, so a whole
+  run costs it one resolve and one flush.
 
 Each slot of the batched loop resolves through
 :meth:`~repro.radio.medium.Medium.resolve_slot`, whose slot memo hands
@@ -121,14 +133,24 @@ class AdversaryLike(Protocol):
     enabling burst dedup with ``observe`` skipped. Both default to the
     conservative setting when absent.
 
-    An optional method refines it for stateful-``observe`` adversaries:
-    ``quiet_bursts()``, read right after an ``on_slot`` call, is how
-    many further bursts with an equal ``honest`` list (same round and
-    slot) that call is certain to answer with an effect-free ``[]``,
-    given that each such burst is delivered jam-free; it must be 0
-    after a call that returned transmissions. The driver then skips
-    ``on_slot`` for them and hands their deliveries to ``observe`` at
-    once, with ``repeat`` set to their number. Absent, it counts as 0.
+    An optional method refines it: ``quiet_bursts()``, read right after
+    an ``on_slot`` call, is how many further bursts with an equal
+    ``honest`` list (same round and slot) that call is certain to answer
+    with an effect-free ``[]``, given that each such burst is delivered
+    jam-free; it must be 0 after a call that returned transmissions. The
+    driver then skips ``on_slot`` for them and hands their deliveries to
+    ``observe`` at once, with ``repeat`` set to their number (for an
+    ``observe_stateless`` adversary, they join the deduplicated group).
+    It is read with and without burst dedup. Absent, it counts as 0.
+
+    Two more rules follow from taking sends as runs:
+
+    - ``honest`` is read-only, and the same list object may come back
+      for every burst of a run;
+    - under a flat engine honest sends are popped and charged at the
+      start of the slot, so ``on_slot`` must not read honest senders'
+      ledger or pending state mid-slot (every bundled adversary reads
+      only its bad nodes' budgets and decisions).
     """
 
     def on_slot(
@@ -261,6 +283,10 @@ class RoundDriver:
         # (value, kind) reuse one frozen object, which makes burst dedup
         # and memo-key hashing cheap.
         self._tx_cache: list[Transmission | None] = [None] * grid.n
+        # Honest DATA sends of the current round, added to
+        # stats.per_kind_honest once per round: hashing an Enum key runs
+        # Python code, so the per-sender count stays a plain integer.
+        self._data_sent = 0
         self._occupied: list[int] = []
         node_classes = {type(node) for node in nodes.values()}
         # Stable-send nodes (BroadcastNode family) can never gain new
@@ -374,14 +400,15 @@ class RoundDriver:
         return self._run_slot_loop(round_index, slots, active)
 
     def _run_slot_loop(self, round_index: int, slots, active: bool) -> bool:
-        """One round, slot by slot, with per-slot burst dedup."""
-        ledger = self.ledger
-        nodes = self.nodes
+        """One round, slot by slot; each slot's bursts arrive as runs.
+
+        A run ``(honest, count)`` is ``count`` consecutive bursts with
+        the same honest transmissions (:meth:`_engine_runs`), or a single
+        burst (:meth:`_node_runs`, ``count = 1``); this one body takes
+        both.
+        """
         adversary = self.adversary
         by_slot = self._slot_buckets
-        tx_cache = self._tx_cache
-        stats = self.stats
-        per_kind = stats.per_kind_honest
         # Burst dedup defers delivery distribution to the end of a
         # burst group, and sender compaction stops re-checking a slot
         # owner that ran dry. Both are safe only when nothing can act on
@@ -405,102 +432,181 @@ class RoundDriver:
         single_burst = self.batch_per_slot == 1
         senders_settled = self._sends_stable or single_burst or not active
         dedup = senders_settled and (self._observe_stateless or not active)
-        compact = senders_settled
-        quiet_bursts = (
-            self._quiet_bursts if not dedup and not single_burst else None
-        )
-        data_kind = MessageKind.DATA
-        data_count = 0
-        honest_total = 0
+        quiet_bursts = self._quiet_bursts if not single_burst else None
+        runs_of = self._engine_runs if self.engine is not None else self._node_runs
         byz_total = 0
         transmitted = False
         for slot in slots:
-            # When senders_settled, owners that fail the pending/budget
-            # check are compacted away for the slot's remaining bursts:
-            # both conditions are then monotone within a slot (budgets
-            # only shrink, and no receive can re-arm a drained owner).
-            senders = by_slot[slot]
             prev_honest: list[Transmission] | None = None
             prev_byz: list[BadTransmission] | None = None
             pending_batch = None
             multiplicity = 0
             quiet = 0
-            for _burst in range(self.batch_per_slot):
-                honest_txs: list[Transmission] = []
-                write = 0
-                for nid in senders:
-                    node = nodes[nid]
-                    if not node.has_pending() or not ledger.can_send(nid):
+            for honest, count in runs_of(by_slot[slot], senders_settled):
+                while count:
+                    if quiet and honest == prev_honest:
+                        # Inside the quiet horizon: the adversary lets
+                        # these repeats through, so they join the group.
+                        step = quiet if quiet < count else count
+                        quiet -= step
+                        multiplicity += step
+                        count -= step
                         continue
-                    value, kind = node.pop_send()
-                    ledger.charge(nid)
-                    tx = tx_cache[nid]
-                    if tx is None or tx.value != value or tx.kind is not kind:
-                        tx = Transmission(nid, value, kind)
-                        tx_cache[nid] = tx
-                    honest_txs.append(tx)
-                    if compact:
-                        senders[write] = nid
-                        write += 1
-                    if kind is data_kind:
-                        data_count += 1
+                    if active:
+                        if pending_batch is not None and not dedup:
+                            self._flush(pending_batch, multiplicity, round_index)
+                            pending_batch = None
+                        byz_txs = adversary.on_slot(round_index, slot, honest)
+                        for tx in byz_txs:
+                            if not self.table.is_bad(tx.sender):
+                                raise ConfigurationError(
+                                    f"adversary transmitted from honest node {tx.sender}"
+                                )
+                            self.ledger.charge(tx.sender)
+                        if quiet_bursts is not None:
+                            quiet = quiet_bursts()
+                        step = 1
                     else:
-                        per_kind[kind] += 1
-                if compact:
-                    del senders[write:]
-                if quiet and honest_txs == prev_honest:
-                    # Inside the quiet horizon: the adversary lets this
-                    # repeat through, so it joins the pending group.
-                    quiet -= 1
-                    multiplicity += 1
-                    honest_total += len(honest_txs)
-                    continue
-                if active:
-                    if pending_batch is not None and not dedup:
-                        self._flush(pending_batch, multiplicity, round_index)
-                        pending_batch = None
-                    byz_txs = adversary.on_slot(round_index, slot, honest_txs)
-                    for tx in byz_txs:
-                        if not self.table.is_bad(tx.sender):
-                            raise ConfigurationError(
-                                f"adversary transmitted from honest node {tx.sender}"
-                            )
-                        ledger.charge(tx.sender)
-                    if quiet_bursts is not None:
-                        quiet = quiet_bursts()
-                else:
-                    byz_txs = _NO_BYZ
-                if not honest_txs and not byz_txs:
-                    break
-                transmitted = True
-                honest_total += len(honest_txs)
-                byz_total += len(byz_txs)
+                        # Nobody looks: the whole run is one group.
+                        byz_txs = _NO_BYZ
+                        step = count
+                    if not honest and not byz_txs:
+                        break
+                    transmitted = True
+                    byz_total += len(byz_txs)
+                    count -= step
 
-                if pending_batch is not None and (
-                    honest_txs == prev_honest and byz_txs == prev_byz
-                ):
-                    multiplicity += 1
-                    continue
-                if pending_batch is not None:
-                    self._flush(pending_batch, multiplicity, round_index)
-                pending_batch = self.medium.resolve_slot(honest_txs, byz_txs)
-                prev_honest = honest_txs
-                prev_byz = byz_txs
-                multiplicity = 1
-                if not (dedup or quiet):
-                    self._flush(pending_batch, 1, round_index)
-                    pending_batch = None
+                    if pending_batch is not None and (
+                        honest == prev_honest and byz_txs == prev_byz
+                    ):
+                        multiplicity += step
+                        continue
+                    if pending_batch is not None:
+                        self._flush(pending_batch, multiplicity, round_index)
+                    pending_batch = self.medium.resolve_slot(honest, byz_txs)
+                    prev_honest = honest
+                    prev_byz = byz_txs
+                    multiplicity = step
+                    if not (dedup or quiet):
+                        self._flush(pending_batch, step, round_index)
+                        pending_batch = None
+                if count:
+                    break  # a silent burst ends the slot
             if pending_batch is not None:
                 self._flush(pending_batch, multiplicity, round_index)
 
-        if data_count:
-            per_kind[data_kind] += data_count
-        stats.honest_transmissions += honest_total
-        stats.byzantine_transmissions += byz_total
+        self.stats.byzantine_transmissions += byz_total
+        if self._data_sent:
+            self.stats.per_kind_honest[MessageKind.DATA] += self._data_sent
+            self._data_sent = 0
         if not self._skip_round_end:
+            nodes = self.nodes
             for nid in self._honest_ids:
                 nodes[nid].on_round_end(round_index)
         return transmitted
+
+    def _engine_runs(
+        self, senders: list[NodeId], _settled: bool
+    ) -> list[tuple[list[Transmission], int]]:
+        """One slot's bursts as runs, taking every honest send up front.
+
+        Under a flat engine every node is an exact ``ThresholdNode`` or
+        ``CpaNode``: its sends are copies of one message, and neither
+        the message nor the count changes before it decides, which a
+        bucketed sender already has. So sender ``i`` sends ``k_i =
+        min(pending, remaining budget, batch_per_slot)`` copies, taken
+        with one ``pop_sends`` and charged with one ``charge``. With the
+        distinct ``k`` ascending, bursts ``[k_(j-1), k_j)`` all carry
+        the senders whose ``k >= k_j``, in ascending id order, as one
+        list object. Bursts after the last send carry no honest
+        transmission and go to the adversary alone.
+        """
+        batch = self.batch_per_slot
+        ledger = self.ledger
+        nodes = self.nodes
+        tx_cache = self._tx_cache
+        stats = self.stats
+        per_kind = stats.per_kind_honest
+        data = MessageKind.DATA
+        data_sent = 0
+        txs: list[Transmission] = []
+        counts: list[int] = []
+        for nid in senders:
+            room = ledger.remaining(nid)
+            count, (value, kind) = nodes[nid].pop_sends(
+                batch if room is None or room > batch else room
+            )
+            ledger.charge(nid, count)
+            if kind is data:
+                data_sent += count
+            else:
+                per_kind[kind] += count
+            tx = tx_cache[nid]
+            if tx is None or tx.value != value or tx.kind is not kind:
+                tx = Transmission(nid, value, kind)
+                tx_cache[nid] = tx
+            txs.append(tx)
+            counts.append(count)
+        stats.honest_transmissions += sum(counts)
+        self._data_sent += data_sent
+        longest = max(counts, default=0)
+        if counts and min(counts) == longest:
+            runs = [(txs, longest)]
+        else:
+            runs = []
+            done = 0
+            for least in sorted(set(counts)):
+                runs.append(
+                    ([tx for tx, k in zip(txs, counts) if k >= least], least - done)
+                )
+                done = least
+        if longest < batch:
+            runs.append(([], batch - longest))
+        return runs
+
+    def _node_runs(self, senders: list[NodeId], settled: bool):
+        """One slot's bursts one at a time, as runs ``(honest, 1)``.
+
+        Each burst asks every owner for one send, so a queue-based node
+        that a mid-slot receive re-armed sends again. When ``settled``,
+        owners that fail the pending/budget check are compacted away for
+        the slot's remaining bursts: both conditions are then monotone
+        within a slot (budgets only shrink, and no receive can re-arm a
+        drained owner).
+        """
+        ledger = self.ledger
+        nodes = self.nodes
+        tx_cache = self._tx_cache
+        stats = self.stats
+        per_kind = stats.per_kind_honest
+        data = MessageKind.DATA
+        for _burst in range(self.batch_per_slot):
+            honest: list[Transmission] = []
+            data_sent = 0
+            write = 0
+            for nid in senders:
+                node = nodes[nid]
+                if not node.has_pending() or not ledger.can_send(nid):
+                    continue
+                value, kind = node.pop_send()
+                ledger.charge(nid)
+                if kind is data:
+                    data_sent += 1
+                else:
+                    per_kind[kind] += 1
+                tx = tx_cache[nid]
+                if tx is None or tx.value != value or tx.kind is not kind:
+                    tx = Transmission(nid, value, kind)
+                    tx_cache[nid] = tx
+                honest.append(tx)
+                if settled:
+                    senders[write] = nid
+                    write += 1
+            if settled:
+                del senders[write:]
+            stats.honest_transmissions += len(honest)
+            self._data_sent += data_sent
+            yield honest, 1
 
     def _flush(
         self, batch: DeliveryBatch, multiplicity: int, round_index: int

@@ -227,7 +227,7 @@ def run(
     max_rounds = spec.max_rounds if spec.max_rounds is not None else build.max_rounds
     stats = driver.run(RunLimits(max_rounds=max_rounds))
     if engine is not None:
-        engine.sync_nodes()
+        engine.attach_tally()
 
     outcome = collect_outcome(table, build.nodes, stats, spec.vtrue)
     costs = collect_costs(table, ledger)

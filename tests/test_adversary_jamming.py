@@ -1,5 +1,7 @@
 """Tests for the jamming adversaries."""
 
+import sys
+
 import pytest
 
 from repro.adversary.jamming import PlannedJammer, ThresholdGuardJammer
@@ -166,6 +168,59 @@ class TestQuietHorizon:
         assert jammer.on_slot(0, 0, [Transmission(grid.id_of((5, 6)), 1)]) == []
         assert jammer.quiet_bursts() == 5 - 2
         assert jammer.on_slot(0, 1, []) == []
+        assert jammer.quiet_bursts() == 0
+
+
+class TestPlannedJammerHorizon:
+    """PlannedJammer's ``quiet_bursts`` against a twin stepped burst by burst."""
+
+    def _twins(self, victims, mf):
+        jammers = []
+        for _ in range(2):
+            grid, table, ledger = setup(mf=mf)
+            plan = {grid.id_of((6, 6)): {grid.id_of(c): q for c, q in victims}}
+            jammers.append(PlannedJammer(grid, table, ledger, plan))
+        return jammers
+
+    @staticmethod
+    def _step(jammer, honest):
+        actions = jammer.on_slot(0, 0, honest)
+        for action in actions:
+            jammer.ledger.charge(action.sender)
+        return actions
+
+    @pytest.mark.parametrize(
+        "quota, mf",
+        [(2, 10), (None, 3)],
+        ids=["quota-runs-out", "budget-runs-out"],
+    )
+    def test_an_empty_answer_holds_for_every_equal_burst(self, quota, mf):
+        main, shadow = self._twins([((5, 6), quota)], mf)
+        tx = Transmission(main.grid.id_of((5, 6)), 1)
+        while self._step(main, [tx]):
+            assert main.quiet_bursts() == 0  # a jam promises nothing
+            assert self._step(shadow, [tx])
+        assert main.quiet_bursts() == sys.maxsize
+        # The twin, consulted on every further equal burst, never jams
+        # again and ends in the same state.
+        assert self._step(shadow, [tx]) == []
+        for _ in range(50):
+            assert self._step(shadow, [tx]) == []
+            assert shadow.quiet_bursts() == sys.maxsize
+        assert shadow.jams == main.jams > 0
+        assert shadow._assignments == main._assignments
+        assert shadow.ledger.sent(shadow.grid.id_of((6, 6))) == main.ledger.sent(
+            main.grid.id_of((6, 6))
+        )
+
+    def test_the_promise_covers_only_an_equal_list(self):
+        # An empty answer for a spent victim says nothing about a fresh one.
+        jammer, _twin = self._twins([((5, 6), 0), ((7, 6), 1)], mf=10)
+        spent = Transmission(jammer.grid.id_of((5, 6)), 1)
+        fresh = Transmission(jammer.grid.id_of((7, 6)), 1)
+        assert self._step(jammer, [spent]) == []
+        assert jammer.quiet_bursts() == sys.maxsize
+        assert len(self._step(jammer, [fresh])) == 1
         assert jammer.quiet_bursts() == 0
 
 

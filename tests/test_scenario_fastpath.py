@@ -14,7 +14,9 @@ is asserted through :func:`repro.fuzz.compare_reports` — the same
 comparator the fuzz subsystem applies to sampled scenarios.
 """
 
+import gc
 import threading
+import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,7 +29,8 @@ from hypothesis import strategies as st
 import repro.protocols.vectorized as vectorized
 import repro.radio.medium as medium_module
 import repro.scenario.runner as runner_mod
-from repro.adversary.jamming import ThresholdGuardJammer
+from repro.adversary.base import Adversary
+from repro.adversary.jamming import PlannedJammer, ThresholdGuardJammer
 from repro.adversary.placement import RandomPlacement, StripePlacement
 from repro.fuzz import compare_reports
 from repro.network.grid import Grid, GridSpec
@@ -71,6 +74,48 @@ def _run_triple(spec):
 
 def _assert_reports_identical(fast, reference):
     assert compare_reports(fast, reference) == []
+
+
+#: Send shapes whose slots hold senders with different copy counts: the
+#: unbounded source's 2tmf+1 sends against relays, mixed relay budgets,
+#: a relay count no batch size divides, and budgets below the relay count.
+_SEND_SHAPES = {
+    "b": dict(protocol="b", m=None),
+    "heter": dict(protocol="heter", m=None),
+    "relay-7": dict(protocol_params={"relay_override": 7}, m=10),
+    "budget-below-relay": dict(protocol_params={"relay_override": 7}, m=3),
+}
+
+
+def _planned_jammer(grid, table, ledger):
+    """A PlannedJammer giving each bad node one jam per nearby sender."""
+    reach = 2 * grid.r
+    plan = {
+        bad: {
+            nid: 1 for nid in table.good_ids if grid.distance(bad, nid) <= reach
+        }
+        for bad in table.bad_ids
+    }
+    return PlannedJammer(grid, table, ledger, plan)
+
+
+def _assert_tiers_agree(spec, adversary=None):
+    """Run ``spec`` at FAST and REFERENCE and assert nothing differs.
+
+    Beyond :func:`compare_reports` (outcome, costs, ``RunStats``, node
+    state): every node's ledger ``sent`` and the adversary's ``jams``.
+    """
+    fast = run(spec, tier=Tier.FAST, adversary_override=adversary)
+    reference = run(spec, tier=Tier.REFERENCE, adversary_override=adversary)
+    _assert_reports_identical(fast, reference)
+    ids = range(reference.grid.n)
+    assert [fast.ledger.sent(n) for n in ids] == [
+        reference.ledger.sent(n) for n in ids
+    ]
+    assert getattr(fast.adversary, "jams", None) == getattr(
+        reference.adversary, "jams", None
+    )
+    return fast, reference
 
 
 class TestFlatEngineAndDriverEquivalence:
@@ -163,6 +208,70 @@ class TestFlatEngineAndDriverEquivalence:
         monkeypatch.setattr(medium_module, "_materialize", no_view)
         _assert_reports_identical(run(spec, tier=Tier.FAST), reference)
 
+    @pytest.mark.parametrize("behavior", ["jam", "planned", "broke", "spoof", "lie"])
+    @pytest.mark.parametrize("shape", sorted(_SEND_SHAPES))
+    @pytest.mark.parametrize("batch_per_slot", [2, 4, 25])
+    def test_senders_with_different_copy_counts(self, batch_per_slot, shape, behavior):
+        # One slot's senders hold different copy counts, so the batched
+        # loop takes its bursts as several runs of shrinking sender lists.
+        overrides = dict(_SEND_SHAPES[shape], batch_per_slot=batch_per_slot)
+        adversary = None
+        if behavior == "planned":
+            adversary = _planned_jammer
+        elif behavior == "broke":
+            overrides.update(behavior="jam", mf=0)
+        else:
+            overrides["behavior"] = behavior
+        fast, reference = _assert_tiers_agree(_spec(**overrides), adversary)
+        if behavior in ("jam", "planned", "spoof"):
+            assert reference.adversary.jams > 0
+
+    @pytest.mark.parametrize("shape", sorted(_SEND_SHAPES))
+    @pytest.mark.parametrize("batch_per_slot", [2, 4, 25])
+    def test_adversary_sees_each_burst_in_id_order(self, batch_per_slot, shape):
+        # An adversary that looks at every burst and promises nothing is
+        # consulted once per burst on both tiers, with the senders of a
+        # run in ascending id order (SpoofingJammer allocates by it).
+        seen = {Tier.FAST: [], Tier.REFERENCE: []}
+
+        class Recorder(Adversary):
+            spontaneous = False
+
+            def __init__(self, record):
+                self.record = record
+
+            def on_slot(self, round_index, slot, honest):
+                if honest:
+                    senders = [tx.sender for tx in honest]
+                    self.record.append((round_index, slot, senders))
+                return []
+
+        spec = _spec(**_SEND_SHAPES[shape], batch_per_slot=batch_per_slot)
+        for tier, record in seen.items():
+            run(spec, tier=tier,
+                adversary_override=lambda grid, table, ledger: Recorder(record))
+        assert seen[Tier.FAST] == seen[Tier.REFERENCE]
+        assert any(len(senders) > 1 for _, _, senders in seen[Tier.FAST])
+
+    def test_a_slot_splits_into_runs(self, monkeypatch):
+        # The heterogeneous budgets really do put senders with different
+        # copy counts in one slot (a silent fall back to single runs
+        # would leave the cases above vacuous).
+        from repro.radio.mac import RoundDriver
+
+        longest = []
+        engine_runs = RoundDriver._engine_runs
+
+        def recording(self, senders, settled):
+            runs = engine_runs(self, senders, settled)
+            longest.append(sum(1 for honest, _count in runs if honest))
+            return runs
+
+        monkeypatch.setattr(RoundDriver, "_engine_runs", recording)
+        spec = _spec(**_SEND_SHAPES["heter"], batch_per_slot=4, behavior="jam")
+        _assert_tiers_agree(spec)
+        assert max(longest) > 1
+
     @pytest.mark.slow
     def test_figure2_paper_instance(self):
         # The headline workload: 2001-burst source phase, planned
@@ -205,14 +314,11 @@ class TestQuietHorizonEquivalence:
     reference loop consults the jammer on every burst.
     """
 
-    @pytest.mark.parametrize("oracle", ["bits", "nodes"])
-    @pytest.mark.parametrize("protected", [None, (6, 7, 8)])
-    @pytest.mark.parametrize("tight", [False, True])
-    @pytest.mark.parametrize("batch_per_slot", [2, 4, 25])
-    def test_fast_equals_reference(self, batch_per_slot, tight, protected, oracle):
-        spec = _spec(behavior="jam", t=2, mf=2, m=6,
+    @staticmethod
+    def _assert_equivalent(batch_per_slot, tight, protected, oracle, **shape):
+        spec = _spec(behavior="jam", t=2, mf=2,
                      placement=RandomPlacement(t=2, count=12, seed=5),
-                     batch_per_slot=batch_per_slot)
+                     batch_per_slot=batch_per_slot, **{"m": 6, **shape})
         # tight: threshold 1, so every undecided protected receiver is
         # at risk and the horizon is always 0.
         threshold = 1 if tight else spec.t * spec.mf + 1
@@ -223,6 +329,31 @@ class TestQuietHorizonEquivalence:
         assert reference_jammer.jams > 0
         assert fast_jammer.jams == reference_jammer.jams
         assert fast_jammer._clean == reference_jammer._clean
+        ids = range(reference.grid.n)
+        assert [fast.ledger.sent(n) for n in ids] == [
+            reference.ledger.sent(n) for n in ids
+        ]
+
+    @pytest.mark.parametrize("oracle", ["bits", "nodes"])
+    @pytest.mark.parametrize("protected", [None, (6, 7, 8)])
+    @pytest.mark.parametrize("tight", [False, True])
+    @pytest.mark.parametrize("batch_per_slot", [2, 4, 25])
+    def test_fast_equals_reference(self, batch_per_slot, tight, protected, oracle):
+        self._assert_equivalent(batch_per_slot, tight, protected, oracle)
+
+    @pytest.mark.parametrize("oracle", ["bits", "nodes"])
+    @pytest.mark.parametrize("protected", [None, (6, 7, 8)])
+    @pytest.mark.parametrize("tight", [False, True])
+    @pytest.mark.parametrize("shape", sorted(_SEND_SHAPES))
+    @pytest.mark.parametrize("batch_per_slot", [2, 4, 25])
+    def test_fast_equals_reference_with_mixed_copy_counts(
+        self, batch_per_slot, shape, tight, protected, oracle
+    ):
+        # One slot's senders hold different copy counts, so the horizon
+        # meets runs of shrinking sender lists.
+        self._assert_equivalent(
+            batch_per_slot, tight, protected, oracle, **_SEND_SHAPES[shape]
+        )
 
     def test_fast_consults_the_jammer_less_than_half_as_often(self, monkeypatch):
         # Theorem 2's band: relays drain four identical bursts per slot,
@@ -405,6 +536,65 @@ def _queue_node_jam_run(batch_per_slot, *, fast):
     )
     stats = driver.run(RunLimits(max_rounds=200))
     return stats, nodes, jammer, ledger, calls
+
+
+#: Runs in which nodes hear more than one value, so key order is tested.
+_TWO_VALUE_SPECS = {
+    "b-lie": dict(behavior="lie", mf=3),
+    "heter-jam": dict(protocol="heter", m=None, behavior="jam"),
+    "cpa-spoof": dict(protocol="cpa", behavior="spoof", m=3, batch_per_slot=1),
+}
+
+
+def _accounting(node):
+    """A node's accounting fields, with the key order of its mappings."""
+    row = [node.received_total]
+    if hasattr(node, "value_counts"):
+        row.append(list(node.value_counts.items()))
+    if hasattr(node, "endorsements"):
+        row.append(list(node.endorsements.items()))
+    return row
+
+
+class TestAccountingOnFirstRead:
+    """A FAST run's node accounting fills itself, exactly, when read."""
+
+    @pytest.mark.parametrize("name", sorted(_TWO_VALUE_SPECS))
+    def test_nodes_read_in_reverse_order(self, name):
+        fast, reference = _run_both(_spec(**_TWO_VALUE_SPECS[name]))
+        ids = sorted(reference.nodes, reverse=True)
+        expected = [_accounting(reference.nodes[nid]) for nid in ids]
+        assert any(len(row[-1]) > 1 for row in expected)
+        assert [_accounting(fast.nodes[nid]) for nid in ids] == expected
+
+    @pytest.mark.parametrize("name", sorted(_TWO_VALUE_SPECS))
+    def test_one_node_read_alone(self, name):
+        fast, reference = _run_both(_spec(**_TWO_VALUE_SPECS[name]))
+        nid = next(
+            nid for nid, node in reference.nodes.items()
+            if len(_accounting(node)[-1]) > 1
+        )
+        assert _accounting(fast.nodes[nid]) == _accounting(reference.nodes[nid])
+        # Nobody else was read, so nobody else has filled anything in.
+        assert all(
+            node._tally is not None
+            for other, node in fast.nodes.items() if other != nid
+        )
+
+    def test_a_report_is_freed_without_the_cycle_collector(self):
+        # Nodes point at their run's tally, never at the engine, so no
+        # node -> engine -> node cycle keeps a finished run alive.
+        spec = _spec(behavior="jam")
+        gc.collect()
+        gc.disable()
+        try:
+            report = run(spec, tier=Tier.FAST)
+            node = weakref.ref(report.nodes[max(report.nodes)])
+            assert node()._tally is not None
+            del report
+            assert node() is None
+        finally:
+            gc.enable()
 
 
 class TestInactiveAdversaryEquivalence:
