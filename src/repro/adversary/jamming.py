@@ -29,10 +29,14 @@ one distribution and one ``observe(batch, repeat)`` without consulting
 The neighborhood tables are built from the sparse side: each protected
 receiver's ball lists it as a protected neighbor of every sender in it,
 and each bad node's ball lists it as a candidate jammer of every
-protected receiver in it (the neighbor relation is symmetric). Their
-order differs from a per-sender filter of the grid's neighbor lists,
-which cannot change the output: the greedy cover's choice is a total
-order and its result is emitted sorted.
+protected receiver in it (the neighbor relation is symmetric). Both
+walks read the grid's ascending rows (:meth:`Grid.neighbors_sorted`)
+and visit their nodes in ascending id order, so every row comes out
+ascending; the greedy cover's choice is a total order anyway and its
+result is emitted sorted. A sender whose neighbors are all protected
+gets the grid's own row rather than a copy, so with the default
+protected set (every good non-source node) the table costs little more
+than its dict.
 """
 
 from __future__ import annotations
@@ -138,11 +142,17 @@ class ThresholdGuardJammer(Adversary):
     def _protected_neighbors(self) -> dict[NodeId, tuple[NodeId, ...]]:
         near = self._protected_near
         if near is None:
-            rows: list[list[NodeId]] = [[] for _ in range(self.grid.n)]
+            grid = self.grid
+            rows: list[list[NodeId]] = [[] for _ in range(grid.n)]
             for receiver in sorted(self.protected):
-                for sender in self.grid.neighbors(receiver):
+                for sender in grid.neighbors_sorted(receiver):
                     rows[sender].append(receiver)
-            near = {sender: tuple(row) for sender, row in enumerate(rows) if row}
+            near = {}
+            for sender, row in enumerate(rows):
+                if row:
+                    # ascending and within the ball: full means equal
+                    full = grid.neighbors_sorted(sender)
+                    near[sender] = full if len(row) == len(full) else tuple(row)
             self._protected_near = near
         return near
 
@@ -152,7 +162,7 @@ class ThresholdGuardJammer(Adversary):
             protected = self._protected_mask
             rows: dict[NodeId, list[NodeId]] = {}
             for jammer in self.table.bad_ids:
-                for receiver in self.grid.neighbors(jammer):
+                for receiver in self.grid.neighbors_sorted(jammer):
                     if protected[receiver]:
                         rows.setdefault(receiver, []).append(jammer)
             near = {receiver: tuple(row) for receiver, row in rows.items()}

@@ -98,30 +98,28 @@ class SpoofingJammer(Adversary):
         self.ledger = ledger
         self.wrong_value = wrong_value
         self.jammers_per_victim = jammers_per_victim
-        self._near: dict[NodeId, tuple[NodeId, ...]] = {}
+        # In-range bad nodes of each sender, ascending, built on first use.
+        self._near: dict[NodeId, tuple[NodeId, ...]] | None = None
         self.jams = 0
 
-    def _jammers_for(self, sender: NodeId) -> tuple[NodeId, ...]:
-        cached = self._near.get(sender)
-        if cached is None:
-            reach = 2 * self.grid.r
-            cached = tuple(
-                bad
-                for bad in self.table.bad_ids
-                if self.grid.distance(bad, sender) <= reach
+    def _jammers_by_sender(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        near = self._near
+        if near is None:
+            near = self._near = self.grid.members_within(
+                self.table.bad_ids, 2 * self.grid.r
             )
-            self._near[sender] = cached
-        return cached
+        return near
 
     def on_slot(
         self, round_index: int, slot: int, honest: list[Transmission]
     ) -> list[BadTransmission]:
         actions: list[BadTransmission] = []
         used_this_slot: set[NodeId] = set()
+        near = self._jammers_by_sender()
         for victim in honest:
             candidates = (
                 jammer
-                for jammer in self._jammers_for(victim.sender)
+                for jammer in near.get(victim.sender, ())
                 if jammer not in used_this_slot and self.ledger.can_send(jammer)
             )
             for jammer in itertools.islice(candidates, self.jammers_per_victim):

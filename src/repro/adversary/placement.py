@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import PlacementError
-from repro.network.grid import Grid
+from repro.network.grid import Grid, GridSpec
 from repro.types import NodeId
 
 
@@ -109,16 +110,18 @@ class CombinedPlacement(Placement):
 
 
 def two_stripe_band(
-    grid: Grid, t: int, band_height: int, below_y0: int
+    grid: Grid | GridSpec, t: int, band_height: int, below_y0: int
 ) -> tuple[CombinedPlacement, range]:
     """Two stripes bounding a victim band on a torus.
 
     On a torus a single stripe blocks nothing (the 'far side' wraps back
     around), so impossibility experiments bound a band of ``band_height``
     rows between two stripes. Returns the combined placement and the
-    victim rows. The stripes face the band: each fills from the row
-    adjacent to it. Neighborhoods never see more than ``t`` bad nodes
-    because the band keeps the stripes more than ``2r`` apart.
+    victim rows (:func:`band_ids` turns them into node ids). The stripes
+    face the band: each fills from the row adjacent to it. Neighborhoods
+    never see more than ``t`` bad nodes because the band keeps the
+    stripes more than ``2r`` apart. Only ``r`` is read, so a
+    :class:`GridSpec` serves as well as a built grid.
     """
     r = grid.r
     if band_height < 2 * r + 1:
@@ -133,6 +136,24 @@ def two_stripe_band(
         CombinedPlacement((lower, upper)),
         range(band_start, band_start + band_height),
     )
+
+
+def band_ids(spec: GridSpec, rows: Iterable[int]) -> tuple[NodeId, ...]:
+    """Ids of every node in ``rows``, row by row, each left to right.
+
+    :meth:`Grid.id_of`'s arithmetic on the spec alone, so building a
+    scenario's protected band needs no :class:`Grid`: rows wrap on a
+    torus and must lie inside a bounded grid.
+    """
+    width, height = spec.width, spec.height
+    ids: list[NodeId] = []
+    for y in rows:
+        if spec.torus:
+            y %= height
+        elif not 0 <= y < height:
+            raise PlacementError(f"row {y} outside bounded grid")
+        ids.extend(range(y * width, (y + 1) * width))
+    return tuple(ids)
 
 
 @dataclass(frozen=True)

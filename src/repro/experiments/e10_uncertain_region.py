@@ -29,8 +29,8 @@ from typing import Callable
 from repro.analysis.bounds import m0
 from repro.errors import ReproError
 from repro.experiments import e2_figure2
-from repro.network.grid import Grid, GridSpec
-from repro.adversary.placement import two_stripe_band
+from repro.network.grid import GridSpec
+from repro.adversary.placement import band_ids, two_stripe_band
 from repro.runner.parallel import ResultCache
 from repro.runner.parallel import sweep as parallel_sweep
 from repro.runner.report import format_table
@@ -76,12 +76,8 @@ def lattice_breakable_max_m(mf: int, t: int = 1) -> int:
 
 def stripe_scenario(spec: GridSpec, t: int, mf: int, m: int) -> ScenarioSpec:
     """The stripe-band attack on one budget point, as a spec."""
-    grid = Grid(spec)
     placement, band_rows = two_stripe_band(
-        grid, t=t, band_height=2 * spec.r + 2, below_y0=3 * spec.r
-    )
-    band = tuple(
-        grid.id_of((x, y)) for y in band_rows for x in range(spec.width)
+        spec, t=t, band_height=2 * spec.r + 2, below_y0=3 * spec.r
     )
     return ScenarioSpec(
         grid=spec,
@@ -90,7 +86,7 @@ def stripe_scenario(spec: GridSpec, t: int, mf: int, m: int) -> ScenarioSpec:
         placement=placement,
         protocol="b",
         m=m,
-        protected=band,
+        protected=band_ids(spec, band_rows),
         batch_per_slot=8,
     )
 

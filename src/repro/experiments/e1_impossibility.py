@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.adversary.placement import two_stripe_band
+from repro.adversary.placement import band_ids, two_stripe_band
 from repro.analysis.bounds import m0
-from repro.network.grid import Grid, GridSpec
+from repro.network.grid import GridSpec
 from repro.runner.parallel import ResultCache
 from repro.runner.parallel import sweep as parallel_sweep
 from repro.runner.report import format_table
@@ -91,12 +91,8 @@ class StripePoint:
         grid_spec = GridSpec(
             width=self.width, height=self.height, r=self.r, torus=True
         )
-        grid = Grid(grid_spec)
         placement, band_rows = two_stripe_band(
-            grid, t=self.t, band_height=self.band_height, below_y0=self.below_y0
-        )
-        band_ids = tuple(
-            grid.id_of((x, y)) for y in band_rows for x in range(self.width)
+            grid_spec, t=self.t, band_height=self.band_height, below_y0=self.below_y0
         )
         return ScenarioSpec(
             grid=grid_spec,
@@ -105,7 +101,7 @@ class StripePoint:
             placement=placement,
             protocol="b",
             m=self.m,
-            protected=band_ids,
+            protected=band_ids(grid_spec, band_rows),
             batch_per_slot=4,
         )
 

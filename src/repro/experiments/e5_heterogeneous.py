@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.adversary.placement import RandomPlacement, two_stripe_band
+from repro.adversary.placement import RandomPlacement, band_ids, two_stripe_band
 from repro.analysis.bounds import m0, protocol_b_relay_count
-from repro.network.grid import Grid, GridSpec
+from repro.network.grid import GridSpec
 from repro.runner.parallel import ResultCache
 from repro.runner.parallel import sweep as parallel_sweep
 from repro.runner.report import format_table
@@ -73,19 +73,14 @@ class HeterogeneousSweepPoint:
         """The point's full scenario (grid to adversary) as a spec."""
         width, r, t, mf = self.width, self.r, self.t, self.mf
         spec = GridSpec(width=width, height=width, r=r, torus=True)
-        grid = Grid(spec)
         if self.placement == "stripe-band":
             placement, band_rows = two_stripe_band(
-                grid, t=t, band_height=2 * r + 2, below_y0=3 * r
+                spec, t=t, band_height=2 * r + 2, below_y0=3 * r
             )
-            protected = tuple(
-                gid
-                for y in band_rows
-                for gid in (grid.id_of((x, y)) for x in range(width))
-            )
+            protected = band_ids(spec, band_rows)
         else:
             placement = RandomPlacement(
-                t=t, count=grid.n // (2 * (2 * r + 1) ** 2), seed=self.seed
+                t=t, count=spec.n // (2 * (2 * r + 1) ** 2), seed=self.seed
             )
             protected = None
         return ScenarioSpec(

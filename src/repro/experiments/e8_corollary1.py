@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.adversary.placement import two_stripe_band
+from repro.adversary.placement import band_ids, two_stripe_band
 from repro.analysis.bounds import (
     corollary1_max_tolerable_t,
     corollary1_min_breakable_t,
     m0,
 )
-from repro.network.grid import Grid, GridSpec
+from repro.network.grid import GridSpec
 from repro.runner.parallel import ResultCache
 from repro.runner.parallel import sweep as parallel_sweep
 from repro.runner.report import format_table
@@ -94,12 +94,8 @@ class BoundarySweepPoint:
         spec = GridSpec(
             width=self.width, height=self.height, r=self.r, torus=True
         )
-        grid = Grid(spec)
         placement, band_rows = two_stripe_band(
-            grid, t=self.t, band_height=2 * self.r + 2, below_y0=3 * self.r
-        )
-        band_ids = tuple(
-            grid.id_of((x, y)) for y in band_rows for x in range(self.width)
+            spec, t=self.t, band_height=2 * self.r + 2, below_y0=3 * self.r
         )
         return ScenarioSpec(
             grid=spec,
@@ -108,7 +104,7 @@ class BoundarySweepPoint:
             placement=placement,
             protocol="b",
             m=self.m,
-            protected=band_ids,
+            protected=band_ids(spec, band_rows),
             batch_per_slot=4,
         )
 

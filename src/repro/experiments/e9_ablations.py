@@ -24,10 +24,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.adversary.figure2 import LATTICE, M, MF, R, T, WIDTH
-from repro.adversary.placement import LatticePlacement, RandomPlacement, two_stripe_band
+from repro.adversary.placement import (
+    LatticePlacement,
+    RandomPlacement,
+    band_ids,
+    two_stripe_band,
+)
 from repro.analysis.bounds import koo_budget, m0, protocol_b_relay_count
 from repro.experiments.e2_figure2 import run_figure2
-from repro.network.grid import Grid, GridSpec
+from repro.network.grid import GridSpec
 from repro.runner.parallel import ResultCache
 from repro.runner.parallel import sweep as parallel_sweep
 from repro.runner.report import format_table
@@ -61,12 +66,8 @@ class RelaySweepPoint:
         """The point's full scenario (grid to adversary) as a spec."""
         r, t, mf, width = self.r, self.t, self.mf, self.width
         spec = GridSpec(width=width, height=width, r=r, torus=True)
-        grid = Grid(spec)
         placement, band_rows = two_stripe_band(
-            grid, t=t, band_height=2 * r + 2, below_y0=3 * r
-        )
-        band_ids = tuple(
-            grid.id_of((x, y)) for y in band_rows for x in range(width)
+            spec, t=t, band_height=2 * r + 2, below_y0=3 * r
         )
         return ScenarioSpec(
             grid=spec,
@@ -76,7 +77,7 @@ class RelaySweepPoint:
             protocol="b",
             m=self.relay,  # budget == relay count: exactly `relay` sends each
             protocol_params={"relay_override": self.relay},
-            protected=band_ids,
+            protected=band_ids(spec, band_rows),
             batch_per_slot=4,
         )
 

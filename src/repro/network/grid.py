@@ -21,19 +21,24 @@ precomputes a *dense CSR-style* neighbor table:
 - ``neighbor_starts`` — ``n + 1`` offsets so node ``v``'s neighbors are
   ``neighbor_ids[neighbor_starts[v]:neighbor_starts[v + 1]]``.
 
-:meth:`neighbors_sorted` exposes the same segments as tuples — each one
-is materialized by slicing ``neighbor_ids``, so the CSR table is the
-single source of truth and the tuple view is what hot loops iterate
-(tuple iteration only increfs pre-boxed ints; indexing an ``array``
-boxes on every access). The per-slot delivery resolver
-(:mod:`repro.radio.medium`) combines this with dense id-indexed scratch
-buffers to do steady-state slot resolution with no dict/set churn.
+:meth:`neighbors_sorted` exposes the same segments as tuples — the
+tuple view is what hot loops iterate (tuple iteration only increfs
+pre-boxed ints; indexing an ``array`` boxes on every access). Every row
+of either view holds the grid's one boxed int per id, so a world keeps
+each neighbor id once however many rows and adversary tables name it;
+adversary tables share the sorted rows themselves where they can. The
+per-slot delivery resolver (:mod:`repro.radio.medium`) combines this
+with dense id-indexed scratch buffers to do steady-state slot
+resolution with no dict/set churn.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 try:  # optional accelerator; every path below has a pure-python twin
     import numpy as _np
@@ -51,9 +56,10 @@ class _LazyNeighborView:
     The numpy grid build produces only the flat CSR arrays; this view
     recovers the legacy ``list[tuple[NodeId, ...]]`` interface without
     paying for a million tuple allocations up front. Materialized rows
-    are cached, so hot loops that iterate one node's tuple repeatedly
-    (adversary plans, the slot resolver) see plain pre-boxed ints
-    exactly like the eager build.
+    are cached, and their entries are the grid's one boxed int per id,
+    so hot loops that iterate one node's tuple repeatedly (adversary
+    plans, the slot resolver) see plain pre-boxed ints exactly like the
+    eager build, and a thousand rows naming a node hold one int.
     """
 
     __slots__ = ("_rows", "_make")
@@ -156,6 +162,8 @@ class Grid:
         self._ids_arr: array | None = None
         self._starts_np = None
         self._ids_np = None
+        # One boxed int per node id, shared by every materialized row.
+        self._boxed: list[NodeId] | None = None
         if _np is not None and fast:
             self._build_neighbors_numpy()
         else:
@@ -246,6 +254,47 @@ class Grid:
     def common_neighbors(self, a: NodeId, b: NodeId) -> set[NodeId]:
         return set(self._neighbors[a]) & set(self._neighbors[b])
 
+    def members_within(
+        self,
+        members: Iterable[NodeId],
+        radius: int,
+        *,
+        farthest_first: bool = False,
+    ) -> dict[NodeId, tuple[NodeId, ...]]:
+        """For every node, the members at distance ``<= radius`` from it.
+
+        Built from the members' side: each member's closed ball is
+        walked once and the member appended to the row of every node in
+        it, so a row lists members in the order given (pass them
+        ascending for id order). ``farthest_first`` walks the balls
+        shell by shell from ``radius`` down to 0 instead, ordering each
+        row by ``(-distance, given order)``. Nodes with no member in
+        reach are absent.
+
+        On a torus a ball offset's L∞ norm is the torus distance while
+        ``2 * radius`` is below each side, which ``GridSpec`` guarantees
+        up to ``radius = 2r``.
+        """
+        if self.torus and 2 * radius >= min(self.width, self.height):
+            raise ConfigurationError(
+                f"radius {radius} wraps a {self.width}x{self.height} torus"
+            )
+        ball = linf_ball_offsets(radius, include_center=True)
+        if farthest_first:
+            shells = [
+                [(dx, dy) for dx, dy in ball if max(abs(dx), abs(dy)) == d]
+                for d in range(radius, -1, -1)
+            ]
+        else:
+            shells = [list(ball)]
+        members = list(members)
+        rows: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
+        for shell in shells:
+            for member in members:
+                for node in self._shifted(member, shell):
+                    rows[node].append(member)
+        return {node: tuple(row) for node, row in rows.items()}
+
     # -- construction -----------------------------------------------------
 
     def _build_neighbors(self) -> list[tuple[NodeId, ...]]:
@@ -254,20 +303,20 @@ class Grid:
     def _build_flat_neighbors(self) -> None:
         """Build the dense CSR neighbor table from the offset-order tuples.
 
-        ``neighbor_ids`` holds every node's neighbors ascending; the
-        sorted per-node tuples are sliced straight out of it so the two
-        views can never drift apart.
+        ``neighbor_ids`` holds every node's neighbors ascending, packed
+        from the sorted per-node tuples; those sort the offset rows, so
+        they hold the very ints the offset rows do.
         """
         starts = array("q", [0])
         flat = array("q")
+        rows = self._neighbors_sorted = []
         for ids in self._neighbors:
-            flat.extend(sorted(ids))
+            row = tuple(sorted(ids))
+            rows.append(row)
+            flat.extend(row)
             starts.append(len(flat))
         self._starts_arr = starts
         self._ids_arr = flat
-        self._neighbors_sorted = [
-            tuple(flat[starts[v] : starts[v + 1]]) for v in range(self.n)
-        ]
 
     def _build_neighbors_numpy(self) -> None:
         """NumPy twin of the neighbor-table build (identical output).
@@ -310,33 +359,56 @@ class Grid:
         self._neighbors = _LazyNeighborView(n, self._offset_row)
         self._neighbors_sorted = _LazyNeighborView(n, self._sorted_row)
 
-    def _offset_row(self, node_id: NodeId) -> tuple[NodeId, ...]:
-        """One node's neighbors in ball-offset order (the legacy order).
+    def _box(self) -> list[NodeId]:
+        """The grid's one boxed int per node id (``list(range(n))``)."""
+        boxed = self._boxed
+        if boxed is None:
+            boxed = self._boxed = list(range(self.n))
+        return boxed
 
-        The one copy of the torus/bounded neighbor formula: both grid
-        builds derive their rows from it.
+    def _shifted(
+        self, node_id: NodeId, offsets: Sequence[tuple[int, int]]
+    ) -> tuple[NodeId, ...]:
+        """Ids at ``node_id`` plus each offset, in offset order.
+
+        The one copy of the torus/bounded neighbor formula: offsets wrap
+        on a torus and fall off a bounded grid. Ids come from
+        :meth:`_box`, so no row boxes an int of its own.
         """
-        offsets = linf_ball_offsets(self.r)
+        boxed = self._box()
         width, height = self.width, self.height
         x, y = node_id % width, node_id // width
         if self.torus:
-            return tuple(
-                ((y + dy) % height) * width + ((x + dx) % width)
+            return tuple([
+                boxed[((y + dy) % height) * width + (x + dx) % width]
                 for dx, dy in offsets
-            )
-        return tuple(
-            (y + dy) * width + (x + dx)
+            ])
+        return tuple([
+            boxed[(y + dy) * width + x + dx]
             for dx, dy in offsets
             if 0 <= x + dx < width and 0 <= y + dy < height
-        )
+        ])
+
+    def _offset_row(self, node_id: NodeId) -> tuple[NodeId, ...]:
+        """One node's neighbors in ball-offset order (the legacy order).
+
+        Both grid builds derive their rows from it.
+        """
+        return self._shifted(node_id, linf_ball_offsets(self.r))
 
     def _sorted_row(self, node_id: NodeId) -> tuple[NodeId, ...]:
-        """One node's neighbors ascending, sliced from the CSR table."""
-        starts, ids = self._starts_np, self._ids_np
-        if ids is not None:  # slice the int64 backing; tolist boxes to int
-            return tuple(ids[starts[node_id] : starts[node_id + 1]].tolist())
-        starts = self.neighbor_starts
-        return tuple(self.neighbor_ids[starts[node_id] : starts[node_id + 1]])
+        """One node's neighbors ascending, sliced from the numpy CSR table.
+
+        The int64 slice is only read for its values: ``itemgetter`` maps
+        them through :meth:`_box`, so the row holds the grid's shared
+        ints rather than the fresh ones ``tolist`` boxes.
+        """
+        starts = self._starts_np
+        ids = self._ids_np[starts[node_id] : starts[node_id + 1]].tolist()
+        boxed = self._box()
+        if len(ids) > 1:
+            return itemgetter(*ids)(boxed)
+        return tuple([boxed[i] for i in ids])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "torus" if self.torus else "bounded"

@@ -253,8 +253,9 @@ class CodedJammerAdversary:
         self.attackers_per_victim = attackers_per_victim
         self.attacks = 0
         self.successful_forgeries = 0
-        # Bad nodes able to interfere with a sender: within 2r (share a receiver).
-        self._jammers_near: dict[NodeId, list[NodeId]] = {}
+        # Bad nodes able to interfere with each sender (within 2r: they
+        # share a receiver), built on first use.
+        self._jammers_near: dict[NodeId, tuple[NodeId, ...]] | None = None
 
     @classmethod
     def with_recommended_code(
@@ -275,24 +276,18 @@ class CodedJammerAdversary:
             p_forge=attack_success_probability(length), **kwargs,
         )
 
-    def _jammers_for(self, sender: NodeId) -> list[NodeId]:
-        cached = self._jammers_near.get(sender)
-        if cached is None:
-            reach = 2 * self.grid.r
-            # Farthest-first: a jammer beyond distance r is inaudible to
-            # the victim sender itself, so the sender gets no same-round
-            # hint that its transmission was mangled — it must rely on
-            # NACKs, which is the worst case for the quiet-window logic.
-            cached = sorted(
-                (
-                    bad
-                    for bad in self.table.bad_ids
-                    if self.grid.distance(bad, sender) <= reach
-                ),
-                key=lambda bad: (-self.grid.distance(bad, sender), bad),
+    def _jammers_by_sender(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        near = self._jammers_near
+        if near is None:
+            # Farthest-first, then by id: a jammer beyond distance r is
+            # inaudible to the victim sender itself, so the sender gets
+            # no same-round hint that its transmission was mangled — it
+            # must rely on NACKs, which is the worst case for the
+            # quiet-window logic.
+            near = self._jammers_near = self.grid.members_within(
+                self.table.bad_ids, 2 * self.grid.r, farthest_first=True
             )
-            self._jammers_near[sender] = cached
-        return cached
+        return near
 
     # -- AdversaryLike -----------------------------------------------------------
 
@@ -301,11 +296,12 @@ class CodedJammerAdversary:
     ) -> list[BadTransmission]:
         actions: list[BadTransmission] = []
         used_this_slot: set[NodeId] = set()  # a node transmits once per slot
+        near = self._jammers_by_sender()
         for victim in honest:
             if victim.kind is MessageKind.NACK and not self.attack_nacks:
                 continue
             used = 0
-            for jammer in self._jammers_for(victim.sender):
+            for jammer in near.get(victim.sender, ()):
                 if used >= self.attackers_per_victim:
                     break
                 if jammer in used_this_slot or not self.ledger.can_send(jammer):

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.adversary.placement import RandomPlacement, StripePlacement, two_stripe_band
+from repro.adversary.placement import RandomPlacement, StripePlacement, band_ids, two_stripe_band
 from repro.analysis.bounds import m0
 from repro.errors import ConfigurationError
-from repro.network.grid import Grid, GridSpec
+from repro.network.grid import GridSpec
 from repro.scenario.spec import ScenarioSpec
 
 
@@ -36,11 +36,7 @@ def _stripe_band(m_factor_num: int, m_factor_den: int, delta: int) -> ScenarioSp
     """Two-stripe victim band at ``m = m0 * num/den + delta`` (E1 shape)."""
     r, t, mf, width = 2, 2, 3, 30
     spec = GridSpec(width=width, height=width, r=r, torus=True)
-    grid = Grid(spec)
-    placement, band_rows = two_stripe_band(grid, t=t, band_height=6, below_y0=8)
-    band_ids = tuple(
-        grid.id_of((x, y)) for y in band_rows for x in range(width)
-    )
+    placement, band_rows = two_stripe_band(spec, t=t, band_height=6, below_y0=8)
     lower = m0(r, t, mf)
     return ScenarioSpec(
         grid=spec,
@@ -49,7 +45,7 @@ def _stripe_band(m_factor_num: int, m_factor_den: int, delta: int) -> ScenarioSp
         placement=placement,
         protocol="b",
         m=lower * m_factor_num // m_factor_den + delta,
-        protected=band_ids,
+        protected=band_ids(spec, band_rows),
         batch_per_slot=4,
     )
 

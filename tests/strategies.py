@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from repro.adversary.placement import RandomPlacement
 from repro.fuzz.sampler import sample_spec
 from repro.network.grid import Grid, GridSpec
+from repro.network.node import NodeTable
+from repro.radio.budget import BudgetLedger
 from repro.radio.medium import Medium
 from repro.radio.messages import Transmission
 from repro.radio.schedule import TdmaSchedule
@@ -136,3 +138,29 @@ def honest_for_slot(slot: int, how_many: int) -> list[Transmission]:
     """Non-interfering honest transmitters: owners of one slot class."""
     owners = MEDIUM_SCHEDULE.owners(slot)
     return [Transmission(nid, 1) for nid in owners[:how_many]]
+
+
+# -- adversary neighbor-table worlds -------------------------------------------
+
+#: Torus and bounded grids for r in {1, 2, 3} (the torus at its minimum side).
+TABLE_GRIDS = [
+    spec
+    for r in (1, 2, 3)
+    for spec in (
+        GridSpec(width=2 * (2 * r + 1), height=2 * (2 * r + 1), r=r, torus=True),
+        GridSpec(width=9, height=7, r=r, torus=False),
+    )
+]
+
+
+def table_world(spec: GridSpec, fast: bool = True):
+    """A world whose ``width`` budgeted bad nodes lie in the first two rows.
+
+    Nodes far from those rows have every neighbor good, so the default
+    protected set gives them full rows.
+    """
+    grid = Grid(spec, fast=fast)
+    bad = set(random.Random(spec.r).sample(range(1, 2 * spec.width), spec.width))
+    table = NodeTable(grid, source=0, bad=bad)
+    ledger = BudgetLedger(grid.n, default_budget=None, overrides={b: 1 for b in bad})
+    return grid, table, ledger

@@ -11,6 +11,7 @@ from repro.network.node import NodeTable
 from repro.radio.budget import BudgetLedger
 from repro.radio.medium import Delivery, DeliveryBatch, Medium
 from repro.radio.messages import MessageKind, Transmission
+from strategies import TABLE_GRIDS, table_world
 
 
 def setup(r=1, width=12, bad_coords=((6, 6),), mf=3):
@@ -266,3 +267,65 @@ class TestPlannedJammer:
         jammer = PlannedJammer(grid, table, ledger, {bad_id: {v1: None, v2: None}})
         actions = jammer.on_slot(0, 0, [Transmission(v1, 1), Transmission(v2, 1)])
         assert len(actions) == 1  # same physical radio: one tx per slot
+
+
+# -- neighbor tables vs their brute-force definitions --------------------------
+
+PROTECTED = {
+    "default": lambda grid, table: None,
+    "band": lambda grid, table: [
+        nid for nid in grid.all_ids() if grid.coord_of(nid)[1] in (2, 3)
+    ],
+    "with-bad": lambda grid, table: list(range(0, grid.n, 3)) + table.bad_ids,
+}
+
+
+class TestNeighborTables:
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "python"])
+    @pytest.mark.parametrize("which", sorted(PROTECTED))
+    @pytest.mark.parametrize("spec", TABLE_GRIDS, ids=str)
+    def test_tables_match_their_definition(self, spec, which, fast):
+        grid, table, ledger = table_world(spec, fast)
+        given = PROTECTED[which](grid, table)
+        jammer = ThresholdGuardJammer(
+            grid, table, ledger, threshold=3, protected=given
+        )
+        if given is None:
+            protected = set(table.good_ids) - {table.source}
+        else:
+            protected = set(given) - table.bad  # bad victims are dropped
+        bad = sorted(table.bad)
+
+        expected = {}
+        for sender in grid.all_ids():
+            row = tuple(
+                nid for nid in sorted(protected) if grid.are_neighbors(nid, sender)
+            )
+            if row:
+                expected[sender] = row
+        near = jammer._protected_neighbors()
+        assert near == expected
+        full_rows = 0
+        for sender, row in near.items():
+            if len(row) == len(grid.neighbors(sender)):
+                assert row is grid.neighbors_sorted(sender)
+                full_rows += 1
+        if which == "default":
+            assert full_rows > 0
+
+        expected = {}
+        for receiver in sorted(protected):
+            row = tuple(b for b in bad if grid.are_neighbors(b, receiver))
+            if row:
+                expected[receiver] = row
+        assert jammer._bad_neighbors() == expected
+
+    @pytest.mark.parametrize("spec", TABLE_GRIDS, ids=str)
+    def test_tables_materialize_no_offset_order_row(self, spec):
+        pytest.importorskip("numpy")  # the python build has every row eagerly
+        grid, table, ledger = table_world(spec)
+        before = list(grid._neighbors._rows)
+        jammer = ThresholdGuardJammer(grid, table, ledger, threshold=3)
+        jammer._protected_neighbors()
+        jammer._bad_neighbors()
+        assert grid._neighbors._rows == before

@@ -1,11 +1,14 @@
 """Tests for the liar and spoofing adversaries."""
 
+import pytest
+
 from repro.adversary.lying import SpamLiar, SpoofingJammer
 from repro.network.grid import Grid, GridSpec
 from repro.network.node import NodeTable
 from repro.radio.budget import BudgetLedger
 from repro.radio.messages import Transmission
 from repro.radio.schedule import TdmaSchedule
+from strategies import TABLE_GRIDS, table_world
 
 
 def setup(bad_coords=((6, 6),), mf=2, r=1):
@@ -81,3 +84,16 @@ class TestSpoofingJammer:
 def jammer_actions(grid, table, ledger, victim):
     jammer = SpoofingJammer(grid, table, ledger)
     return jammer.on_slot(0, 0, [Transmission(victim, 1)])
+
+
+@pytest.mark.parametrize("spec", TABLE_GRIDS, ids=str)
+def test_jammer_table_is_every_bad_node_within_2r_ascending(spec):
+    grid, table, ledger = table_world(spec)
+    expected = {}
+    for sender in grid.all_ids():
+        row = tuple(
+            bad for bad in table.bad_ids if grid.distance(bad, sender) <= 2 * spec.r
+        )
+        if row:
+            expected[sender] = row
+    assert SpoofingJammer(grid, table, ledger)._jammers_by_sender() == expected

@@ -163,3 +163,54 @@ class TestFlatNeighborArrays:
         assert set(grid.neighbors(node_id)) == set(
             grid.neighbors_sorted(node_id)
         )
+
+
+def _offset_formula(spec, node_id):
+    """A node's neighbors in ball-offset order, from the L∞ definition."""
+    r, width, height = spec.r, spec.width, spec.height
+    x, y = node_id % width, node_id // width
+    row = []
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            if (dx, dy) == (0, 0):
+                continue
+            nx, ny = x + dx, y + dy
+            if spec.torus:
+                nx, ny = nx % width, ny % height
+            elif not (0 <= nx < width and 0 <= ny < height):
+                continue
+            row.append(ny * width + nx)
+    return tuple(row)
+
+
+class TestSharedRows:
+    """Every row holds the grid's one boxed int per id."""
+
+    SPECS = [
+        GridSpec(width=30, height=30, r=2, torus=True),
+        GridSpec(width=25, height=21, r=3, torus=False),
+        GridSpec(width=2, height=1, r=1, torus=False),  # one-neighbor rows
+    ]
+
+    @pytest.mark.parametrize("build", ["python", "numpy"])
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_equal_ids_in_any_two_rows_are_one_object(self, spec, build):
+        if build == "numpy":
+            pytest.importorskip("numpy")
+        grid = Grid(spec, fast=build == "numpy")
+        canonical = {}
+        for node_id in grid.all_ids():
+            offset = grid.neighbors(node_id)
+            ordered = grid.neighbors_sorted(node_id)
+            assert offset == _offset_formula(spec, node_id)
+            assert ordered == tuple(sorted(offset))
+            for nid in offset + ordered:
+                assert canonical.setdefault(nid, nid) is nid
+        # beyond CPython's small-int cache, where sharing is not free
+        assert spec.n < 256 or max(canonical) > 256
+
+    def test_members_within_refuses_a_radius_that_wraps(self):
+        grid = torus(r=1)  # 12x12: a radius-6 ball meets itself
+        assert grid.members_within([0], 5)
+        with pytest.raises(ConfigurationError):
+            grid.members_within([0], 6)

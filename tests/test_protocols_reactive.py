@@ -1,5 +1,7 @@
 """Tests for the §5 reactive node and B_reactive integration."""
 
+import random
+
 import pytest
 
 from repro.adversary.placement import RandomPlacement
@@ -8,12 +10,14 @@ from repro.network.grid import GridSpec
 from repro.protocols.reactive import (
     CORRUPT_MARKER,
     NACK_PAYLOAD,
+    CodedJammerAdversary,
     ReactiveNode,
     ReactivePhase,
 )
 from repro.radio.messages import MessageKind
 from repro.scenario import ScenarioSpec, run
 from repro.types import Role
+from strategies import TABLE_GRIDS, table_world
 
 
 def make_node(role=Role.GOOD, t=1, r=1, quiet_limit=None):
@@ -171,3 +175,20 @@ class TestBReactiveIntegration:
         report = reactive_run(mf=2)
         for bad in report.table.bad_ids:
             assert report.ledger.sent(bad) <= 2
+
+
+@pytest.mark.parametrize("spec", TABLE_GRIDS, ids=str)
+def test_coded_jammer_table_is_farthest_first_within_2r(spec):
+    grid, table, ledger = table_world(spec)
+    expected = {}
+    for sender in grid.all_ids():
+        row = sorted(
+            (b for b in table.bad_ids if grid.distance(b, sender) <= 2 * spec.r),
+            key=lambda b: (-grid.distance(b, sender), b),
+        )
+        if row:
+            expected[sender] = tuple(row)
+    jammer = CodedJammerAdversary(
+        grid, table, ledger, random.Random(0), p_forge=0.0
+    )
+    assert jammer._jammers_by_sender() == expected
